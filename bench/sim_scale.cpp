@@ -1,8 +1,9 @@
-// sim_scale: rank-scale smoke for the pooled discrete-event timeline — the
-// ISSUE-7 acceptance harness. Simulates one training config with every rank
-// explicit (per-rank arenas + slab event pool) and reports how long the DES
-// itself took on the wall clock, in contrast to every other bench which
-// reports the *virtual* time the simulation predicts.
+// sim_scale: rank-scale smoke for the per-rank discrete-event timeline.
+// Simulates one training config with every rank explicit (per-rank jitter
+// and membership each iteration; the slowest alive rank's submission chain,
+// which decides every Min-reduce, on the slab event pool) and reports how
+// long the DES itself took on the wall clock, in contrast to every other
+// bench which reports the *virtual* time the simulation predicts.
 //
 //   ./sim_scale --ranks=4096                        # 4k-rank ResNet-50 step
 //   ./sim_scale --ranks=1024 --check --budget-s=10  # CI smoke: wall budget

@@ -6,7 +6,8 @@
 # runs the full suite and aborts on the first finding. After the default
 # preset, an advisor smoke step drives a short deterministic advisor_load run
 # (fails unless the warm cache hit and qps > 0), a sim-scale smoke simulates
-# a 1024-rank step through the pooled event engine under a wall-clock budget,
+# a 1024-rank step (per-rank jitter, the slowest alive rank's submission
+# chain on the pooled event engine) under a wall-clock budget,
 # an optimizer smoke step runs the verified graph-rewrite passes over every
 # shipped model (any equivalence-checker O-code fails as a GitHub
 # annotation) and gates the measured-vs-predicted conv+BN fusion payoff,
@@ -45,10 +46,11 @@ advisor_smoke() {
       --pool-threads=4 --check --metrics-out="$build/metrics_smoke_advisor.json"
 }
 
-# 1k-rank pooled-DES smoke: every rank simulated explicitly through the slab
+# 1k-rank per-rank-DES smoke: every rank's jitter and membership resolved
+# explicitly, the slowest alive rank's submission chain run through the slab
 # event pool, gated on wall clock (the acceptance budget is 10 s at 4k ranks;
-# 1k ranks under 10 s is generous on any CI machine, and a pooling regression
-# blows straight past it).
+# a 1k-rank step takes milliseconds, so only a regression to per-rank chains
+# or per-event allocation comes near it).
 sim_scale_smoke() {
   local build=build
   echo "=== [default] sim scale smoke ==="

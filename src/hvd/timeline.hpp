@@ -6,14 +6,20 @@
 //  - Representative-rank mode (sim_ranks == 1, the default): one rank is
 //    simulated; rank jitter enters through `straggler_factor`, the
 //    expected-max inflation of compute times across the world.
-//  - Per-rank mode (sim_ranks > 1): every rank's backward pass and gradient
-//    submissions are simulated explicitly from flat per-rank arenas (a
-//    jitter factor, a submission cursor, and a per-tensor submit count). A
-//    gradient becomes globally negotiable only when the slowest rank has
-//    submitted it — the Min-reduce the real engine computes — so stragglers
-//    emerge from the simulation instead of a closed-form factor. Event
-//    count grows as ranks x tensors per iteration; the pooled sim::Engine
-//    keeps that allocation-free, which is what makes 4k-rank steps cheap.
+//  - Per-rank mode (sim_ranks > 1): every rank draws its own jitter factor
+//    each iteration and has its own crash/rejoin membership, and a gradient
+//    becomes globally negotiable only once every alive rank has submitted
+//    it — the Min-reduce the real engine computes — so stragglers emerge
+//    from the simulation instead of a closed-form factor. Rank r submits
+//    tensor k at iter_start + resync + (fixed + fwd + g_k) * stretch * f_r,
+//    which is monotone in its factor f_r (rounded multiplication and
+//    addition preserve <=). So the last submission of every tensor, and the
+//    last end of backward, always belong to the slowest alive rank, and only
+//    that rank's submission chain and backward-done event are scheduled.
+//    Ranks with equal factors have equal timestamps and back-to-back events,
+//    so no other event can fall between them. The reduction is exact (same
+//    timestamps, counters and fusion order as one chain per rank) and costs
+//    O(ranks) draws plus O(tensors) calendar events per iteration.
 //
 // The engine's background loop wakes every cycle_time, issues one
 // coordination allreduce per wake-up, fuses all negotiated tensors up to the
@@ -107,9 +113,13 @@ struct TimelineInput {
   double dedicated_tax_share = 0.12;
 
   /// Ranks simulated explicitly (per-rank mode when > 1; requires a cost
-  /// model). In per-rank mode `straggler_factor` should stay 1.0 — jitter is
-  /// drawn per rank per iteration from `per_rank_jitter_cv` instead of the
-  /// closed-form expected max.
+  /// model). Each rank's jitter factor and membership are resolved every
+  /// iteration, but only the slowest alive rank's submissions reach the event
+  /// calendar (see the header comment), so the calendar's event count and
+  /// pool footprint do not grow with this. In per-rank mode
+  /// `straggler_factor` should stay 1.0 — jitter is drawn per rank per
+  /// iteration from `per_rank_jitter_cv` instead of the closed-form expected
+  /// max.
   int sim_ranks = 1;
   /// Coefficient of variation of the per-rank compute factor in per-rank
   /// mode; 0 makes every rank identical (useful for parity tests). Factors

@@ -13,6 +13,10 @@ struct TableIRow {
   int threads_per_core;
 };
 
+// Print a row by its label so the parameter (and the test name CTest derives
+// from it) is stable; the default byte dump includes the label's address.
+void PrintTo(const TableIRow& row, std::ostream* os) { *os << row.label; }
+
 class TableIParam : public ::testing::TestWithParam<TableIRow> {};
 
 TEST_P(TableIParam, MatchesPaperTableI) {
