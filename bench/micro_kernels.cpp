@@ -1,6 +1,7 @@
 // Microbenchmarks of the refdnn numeric substrate: conv/dense/batchnorm
-// kernels, the packed-vs-naive GEMM paths at real ResNet-50 layer shapes,
-// and the thread pool's dispatch overhead.
+// kernels, the packed GEMM and implicit-GEMM conv at real ResNet-50 layer
+// shapes, and the thread pool's dispatch overhead. BM_Conv2dForward (the
+// direct loop-nest conv) is the unoptimized baseline.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -27,8 +28,8 @@ std::vector<std::int64_t> bench_thread_counts() {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM at real ResNet-50 layer shapes, naive vs packed. Args:
-// (path: 0=naive 1=packed, threads). Rate = GFLOP/s (items == flops).
+// GEMM at real ResNet-50 layer shapes. Arg: threads. Rate = GFLOP/s
+// (items == flops).
 //
 // Shapes (batch 1, M = OH*OW per image):
 //   conv3x3_256_14  3x3 conv, 256ch @ 14x14:  M=196,   K=2304, N=256
@@ -37,18 +38,16 @@ std::vector<std::int64_t> bench_thread_counts() {
 // ---------------------------------------------------------------------------
 
 void gemm_shape_bench(benchmark::State& state, int m, int k, int n) {
-  const auto path = state.range(0) == 0 ? ref::GemmPath::naive : ref::GemmPath::packed;
-  ref::ThreadPool pool(static_cast<int>(state.range(1)));
+  ref::ThreadPool pool(static_cast<int>(state.range(0)));
   util::Rng rng(11);
   const ref::Tensor a = ref::Tensor::randn({m, k}, rng);
   const ref::Tensor b = ref::Tensor::randn({k, n}, rng);
   ref::Tensor c({m, n});
   for (auto _ : state) {
-    ref::gemm(a, b, c, pool, /*accumulate=*/false, path);
+    ref::gemm(a, b, c, pool);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * static_cast<std::int64_t>(m) * k * n);
-  state.SetLabel(state.range(0) == 0 ? "naive" : "packed");
 }
 
 void register_gemm_benches() {
@@ -64,74 +63,65 @@ void register_gemm_benches() {
   for (const auto& s : kShapes) {
     auto* bench = benchmark::RegisterBenchmark(
         s.name, [s](benchmark::State& st) { gemm_shape_bench(st, s.m, s.k, s.n); });
-    for (std::int64_t path : {0, 1})
-      for (std::int64_t threads : bench_thread_counts()) bench->Args({path, threads});
+    for (std::int64_t threads : bench_thread_counts()) bench->Arg(threads);
   }
 }
 
 // gemm_at (the weight-gradient GEMM) on the 3x3x256 @ 14x14 shape:
 // dW'[2304, 256] = cols^T[2304, 196] * dY[196, 256].
 void BM_GemmAtWeightGrad(benchmark::State& state) {
-  const auto path = state.range(0) == 0 ? ref::GemmPath::naive : ref::GemmPath::packed;
-  ref::ThreadPool pool(static_cast<int>(state.range(1)));
+  ref::ThreadPool pool(static_cast<int>(state.range(0)));
   util::Rng rng(12);
   const int m = 2304, k = 196, n = 256;
   const ref::Tensor a_t = ref::Tensor::randn({k, m}, rng);
   const ref::Tensor b = ref::Tensor::randn({k, n}, rng);
   ref::Tensor c({m, n});
   for (auto _ : state) {
-    ref::gemm_at(a_t, b, c, pool, /*accumulate=*/false, path);
+    ref::gemm_at(a_t, b, c, pool);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * static_cast<std::int64_t>(m) * k * n);
-  state.SetLabel(state.range(0) == 0 ? "naive" : "packed");
 }
 
-// Full conv forward (implicit GEMM vs materialized-im2col naive GEMM) at the
-// ResNet-50 3x3x256 @ 14x14 layer, batch 4.
+// Full implicit-GEMM conv forward at the ResNet-50 3x3x256 @ 14x14 layer,
+// batch 4.
 void BM_ConvForwardResNet50_3x3_256(benchmark::State& state) {
-  const auto path = state.range(0) == 0 ? ref::GemmPath::naive : ref::GemmPath::packed;
-  ref::ThreadPool pool(static_cast<int>(state.range(1)));
+  ref::ThreadPool pool(static_cast<int>(state.range(0)));
   util::Rng rng(13);
   const int batch = 4;
   const ref::Tensor x = ref::Tensor::randn({batch, 256, 14, 14}, rng);
   const ref::Tensor w = ref::Tensor::randn({256, 256, 3, 3}, rng, 0.05f);
   const ref::Tensor b = ref::Tensor::zeros({256});
   for (auto _ : state) {
-    const auto y = ref::conv2d_forward_gemm(x, w, b, ref::ConvSpec{1, 1}, pool, path);
+    const auto y = ref::conv2d_forward_gemm(x, w, b, ref::ConvSpec{1, 1}, pool);
     benchmark::DoNotOptimize(y.data());
   }
   const double flops = 2.0 * batch * 14 * 14 * 256 * 256 * 9;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * flops));
-  state.SetLabel(state.range(0) == 0 ? "naive" : "packed");
 }
 
-// 7x7/2 stem conv (3->64 @ 224x224), batch 1: the im2col-buffer killer —
-// the materialized path builds a 12544 x 147 matrix per image, the implicit
-// path packs panels on the fly.
+// 7x7/2 stem conv (3->64 @ 224x224), batch 1: a materialized im2col would be
+// a 12544 x 147 matrix per image; the implicit GEMM packs panels on the fly.
 void BM_ConvForwardResNet50_Stem(benchmark::State& state) {
-  const auto path = state.range(0) == 0 ? ref::GemmPath::naive : ref::GemmPath::packed;
-  ref::ThreadPool pool(static_cast<int>(state.range(1)));
+  ref::ThreadPool pool(static_cast<int>(state.range(0)));
   util::Rng rng(14);
   const ref::Tensor x = ref::Tensor::randn({1, 3, 224, 224}, rng);
   const ref::Tensor w = ref::Tensor::randn({64, 3, 7, 7}, rng, 0.05f);
   const ref::Tensor b = ref::Tensor::zeros({64});
   for (auto _ : state) {
-    const auto y = ref::conv2d_forward_gemm(x, w, b, ref::ConvSpec{2, 3}, pool, path);
+    const auto y = ref::conv2d_forward_gemm(x, w, b, ref::ConvSpec{2, 3}, pool);
     benchmark::DoNotOptimize(y.data());
   }
   const double flops = 2.0 * 112 * 112 * 64 * 3 * 49;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * flops));
-  state.SetLabel(state.range(0) == 0 ? "naive" : "packed");
 }
 
-void register_path_thread_args(benchmark::internal::Benchmark* bench) {
-  for (std::int64_t path : {0, 1})
-    for (std::int64_t threads : bench_thread_counts()) bench->Args({path, threads});
+void register_thread_args(benchmark::internal::Benchmark* bench) {
+  for (std::int64_t threads : bench_thread_counts()) bench->Arg(threads);
 }
-BENCHMARK(BM_GemmAtWeightGrad)->Apply(register_path_thread_args);
-BENCHMARK(BM_ConvForwardResNet50_3x3_256)->Apply(register_path_thread_args);
-BENCHMARK(BM_ConvForwardResNet50_Stem)->Apply(register_path_thread_args);
+BENCHMARK(BM_GemmAtWeightGrad)->Apply(register_thread_args);
+BENCHMARK(BM_ConvForwardResNet50_3x3_256)->Apply(register_thread_args);
+BENCHMARK(BM_ConvForwardResNet50_Stem)->Apply(register_thread_args);
 
 void BM_Conv2dForward(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));

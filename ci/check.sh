@@ -84,6 +84,8 @@ profile_smoke() {
       --metrics-out="$build/metrics_smoke_profile.json"
   grep -q '"verdict"' "$report"
   grep -q '"compare_sim"' "$report"
+  # One track per MP rank: the example's SP reference must stay untraced.
+  grep -q '"ranks":2' "$report"
 }
 
 metrics_smoke() {

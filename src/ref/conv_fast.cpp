@@ -16,46 +16,6 @@ int out_dim(int in, int k, int stride, int pad) {
   return out;
 }
 
-/// Weights [OC, C, KH, KW] -> W' [C*KH*KW, OC] (GEMM B operand).
-Tensor repack_weights(const Tensor& w) {
-  const int oc = w.dim(0), ckk = w.dim(1) * w.dim(2) * w.dim(3);
-  Tensor wt({ckk, oc});
-  for (int o = 0; o < oc; ++o)
-    for (int j = 0; j < ckk; ++j)
-      wt[static_cast<std::size_t>(j) * oc + o] =
-          w[static_cast<std::size_t>(o) * ckk + j];
-  return wt;
-}
-
-/// Materialized im2col + GEMM + bias/reorder pass — the oracle path.
-Tensor forward_gemm_naive(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
-                          ThreadPool& pool) {
-  const int n = x.dim(0), oc = w.dim(0);
-  const int oh = out_dim(x.dim(2), w.dim(2), spec.stride, spec.pad);
-  const int ow = out_dim(x.dim(3), w.dim(3), spec.stride, spec.pad);
-
-  const Tensor cols = im2col(x, w.dim(2), w.dim(3), spec.stride, spec.pad, pool);
-  const Tensor wt = repack_weights(w);
-  Tensor rows({n * oh * ow, oc});
-  gemm(cols, wt, rows, pool, /*accumulate=*/false, GemmPath::naive);
-
-  // rows [N*OH*OW, OC] -> y [N, OC, OH, OW], adding bias.
-  Tensor y({n, oc, oh, ow});
-  pool.parallel_for(static_cast<std::size_t>(n) * oh * ow,
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t idx = begin; idx < end; ++idx) {
-                        const int ni = static_cast<int>(idx / (static_cast<std::size_t>(oh) * ow));
-                        const int rem = static_cast<int>(idx % (static_cast<std::size_t>(oh) * ow));
-                        const int oy = rem / ow;
-                        const int ox = rem % ow;
-                        const float* row = rows.data() + idx * static_cast<std::size_t>(oc);
-                        for (int o = 0; o < oc; ++o)
-                          y.at4(ni, o, oy, ox) = row[o] + b[static_cast<std::size_t>(o)];
-                      }
-                    });
-  return y;
-}
-
 /// Implicit-GEMM forward: the im2col matrix exists only as the per-thread
 /// MC x KC A-panel the packer fills on demand; bias is fused into the store
 /// epilogue and the output is written straight into NCHW.
@@ -162,11 +122,6 @@ Tensor forward_gemm_packed(const Tensor& x, const Tensor& w, const Tensor& b, Co
 
 Tensor conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
                            ThreadPool& pool) {
-  return conv2d_forward_gemm(x, w, b, spec, pool, gemm_path());
-}
-
-Tensor conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
-                           ThreadPool& pool, GemmPath path) {
   if (x.rank() != 4 || w.rank() != 4) throw std::invalid_argument("conv_fast: rank-4 inputs");
   if (w.dim(1) != x.dim(1)) throw std::invalid_argument("conv_fast: channel mismatch");
   if (b.size() != static_cast<std::size_t>(w.dim(0)))
@@ -180,30 +135,22 @@ Tensor conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, Co
                                 .add("c", x.dim(1))
                                 .add("hw", x.dim(2))
                                 .add("oc", w.dim(0))
-                                .add("k", w.dim(2))
-                                .add("path", path == GemmPath::packed ? "packed" : "naive"))
+                                .add("k", w.dim(2)))
                       .str());
     span.set_flops(2.0 * x.dim(0) * oh * ow * w.dim(0) * x.dim(1) * w.dim(2) * w.dim(3));
   }
-  return path == GemmPath::packed ? forward_gemm_packed(x, w, b, spec, pool)
-                                  : forward_gemm_naive(x, w, b, spec, pool);
+  return forward_gemm_packed(x, w, b, spec, pool);
 }
 
 void conv2d_backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec spec,
                           Tensor& dx, Tensor& dw, Tensor& db, ThreadPool& pool) {
-  conv2d_backward_gemm(x, w, dy, spec, dx, dw, db, pool, gemm_path());
-}
-
-void conv2d_backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec spec,
-                          Tensor& dx, Tensor& dw, Tensor& db, ThreadPool& pool, GemmPath path) {
   DNNPERF_TRACE_SPAN_VAR(span, "ref", "conv2d_bwd_gemm");
   if (span.active())
     span.set_args(std::move(util::trace::Args()
                                 .add("n", x.dim(0))
                                 .add("c", x.dim(1))
                                 .add("oc", w.dim(0))
-                                .add("k", w.dim(2))
-                                .add("path", path == GemmPath::packed ? "packed" : "naive"))
+                                .add("k", w.dim(2)))
                       .str());
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), ww = x.dim(3);
   const int oc = w.dim(0), kh = w.dim(2), kw = w.dim(3);
@@ -234,7 +181,7 @@ void conv2d_backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, Co
   // gemm_at is the weight-gradient fast path.
   const Tensor cols = im2col(x, kh, kw, spec.stride, spec.pad, pool);
   Tensor dwt({ckk, oc});
-  gemm_at(cols, dy_rows, dwt, pool, /*accumulate=*/false, path);
+  gemm_at(cols, dy_rows, dwt, pool);
   // Repack dW' -> dW [OC, C, KH, KW].
   dw = Tensor::zeros(w.shape());
   for (int o = 0; o < oc; ++o)
@@ -244,7 +191,7 @@ void conv2d_backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, Co
   // dcols [rows, CKK] = dY_rows [rows, OC] * W'^T; W'^T is W viewed [OC, CKK].
   Tensor w_flat = w.reshaped({oc, ckk});
   Tensor dcols({static_cast<int>(rows_n), ckk});
-  gemm(dy_rows, w_flat, dcols, pool, /*accumulate=*/false, path);
+  gemm(dy_rows, w_flat, dcols, pool);
   dx = col2im(dcols, n, c, h, ww, kh, kw, spec.stride, spec.pad, pool);
 }
 

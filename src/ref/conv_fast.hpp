@@ -6,14 +6,13 @@
 //   dW:       dW[CKK, OC]      = im2col(X)^T * dY
 //   dX:       col2im( dY * W'^T )
 //
-// With GemmPath::packed the forward pass is an *implicit* GEMM: the im2col
-// matrix is never materialized. Each thread packs one MC x KC panel of it at
+// The forward pass is an *implicit* GEMM: the im2col matrix is never
+// materialized. Each thread packs one MC x KC panel of it at
 // a time straight from the NCHW input (computing the kernel-tap addressing
 // on the fly), the bias add is fused into the microkernel store epilogue,
 // and the output is written directly in NCHW layout — peak extra memory is
-// one MC x KC + KC x NC panel pair per thread. With GemmPath::naive the
-// original materialized im2col + blocked-loop GEMM runs instead (the
-// cross-validation oracle).
+// one MC x KC + KC x NC panel pair per thread. The backward pass
+// materializes im2col(X) and runs the packed gemm/gemm_at.
 #pragma once
 
 #include "ref/gemm.hpp"
@@ -21,18 +20,13 @@
 
 namespace dnnperf::ref {
 
-/// Forward convolution via (implicit) im2col + GEMM. Same contract as
-/// conv2d_forward. The 5-argument form uses gemm_path().
+/// Forward convolution via implicit im2col + GEMM. Same contract as
+/// conv2d_forward.
 Tensor conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
                            ThreadPool& pool);
-Tensor conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
-                           ThreadPool& pool, GemmPath path);
 
-/// Backward convolution via GEMMs (packed or naive per `path`). Same
-/// contract as conv2d_backward.
+/// Backward convolution via GEMMs. Same contract as conv2d_backward.
 void conv2d_backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec spec,
                           Tensor& dx, Tensor& dw, Tensor& db, ThreadPool& pool);
-void conv2d_backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec spec,
-                          Tensor& dx, Tensor& dw, Tensor& db, ThreadPool& pool, GemmPath path);
 
 }  // namespace dnnperf::ref

@@ -1,7 +1,6 @@
 #include "ref/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
 
@@ -12,11 +11,6 @@
 namespace dnnperf::ref {
 
 namespace {
-
-constexpr int kBlockK = 64;
-constexpr int kBlockN = 128;
-
-std::atomic<GemmPath> g_gemm_path{GemmPath::packed};
 
 int out_dim(int in, int k, int stride, int pad) {
   const int out = (in + 2 * pad - k) / stride + 1;
@@ -58,16 +52,12 @@ class GemmMetricsScope {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Shape + path args and FLOP count for a GEMM-shaped trace span.
+/// Shape args and FLOP count for a GEMM-shaped trace span.
 template <typename SpanT>
-void annotate_gemm_span(SpanT& span, int m, int k, int n, GemmPath path) {
+void annotate_gemm_span(SpanT& span, int m, int k, int n) {
   if (span.active())
-    span.set_args(std::move(util::trace::Args()
-                                .add("m", m)
-                                .add("k", k)
-                                .add("n", n)
-                                .add("path", path == GemmPath::packed ? "packed" : "naive"))
-                      .str());
+    span.set_args(
+        std::move(util::trace::Args().add("m", m).add("k", k).add("n", n)).str());
   span.set_flops(2.0 * m * k * n);
 }
 
@@ -78,45 +68,6 @@ void check_gemm_shapes(const Tensor& a, const Tensor& b, const Tensor& c, int m,
   if (b.dim(0) != k) throw std::invalid_argument(std::string(what) + ": inner dimension mismatch");
   if (c.rank() != 2 || c.dim(0) != m || c.dim(1) != n)
     throw std::invalid_argument(std::string(what) + ": bad output shape");
-}
-
-// Original loop nest: parallel over row panels, each panel walks (k, n)
-// blocks for locality. Dense inner loop — no data-dependent branches, so the
-// compiler can vectorize the saxpy and timing is input-independent.
-void gemm_naive(const float* pa, const float* pb, float* pc, int m, int k, int n,
-                ThreadPool& pool) {
-  pool.parallel_for(static_cast<std::size_t>(m), [&](std::size_t row_begin, std::size_t row_end) {
-    for (int k0 = 0; k0 < k; k0 += kBlockK) {
-      const int k1 = std::min(k, k0 + kBlockK);
-      for (int n0 = 0; n0 < n; n0 += kBlockN) {
-        const int n1 = std::min(n, n0 + kBlockN);
-        for (std::size_t i = row_begin; i < row_end; ++i) {
-          const float* arow = pa + i * static_cast<std::size_t>(k);
-          float* crow = pc + i * static_cast<std::size_t>(n);
-          for (int kk = k0; kk < k1; ++kk) {
-            const float av = arow[kk];
-            const float* brow = pb + static_cast<std::size_t>(kk) * n;
-            for (int j = n0; j < n1; ++j) crow[j] += av * brow[j];
-          }
-        }
-      }
-    }
-  });
-}
-
-void gemm_at_naive(const float* pa, const float* pb, float* pc, int m, int k, int n,
-                   ThreadPool& pool) {
-  pool.parallel_for(static_cast<std::size_t>(m), [&](std::size_t row_begin, std::size_t row_end) {
-    for (int kk = 0; kk < k; ++kk) {
-      const float* arow = pa + static_cast<std::size_t>(kk) * m;
-      const float* brow = pb + static_cast<std::size_t>(kk) * n;
-      for (std::size_t i = row_begin; i < row_end; ++i) {
-        const float av = arow[i];
-        float* crow = pc + i * static_cast<std::size_t>(n);
-        for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
 }
 
 /// Store sink for plain row-major C: overwrite on the first k-block unless
@@ -186,48 +137,24 @@ void gemm_at_packed(const float* pa, const float* pb, float* pc, int m, int k, i
 
 }  // namespace
 
-GemmPath gemm_path() { return g_gemm_path.load(std::memory_order_relaxed); }
-
-void set_gemm_path(GemmPath path) { g_gemm_path.store(path, std::memory_order_relaxed); }
-
 void gemm(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool& pool, bool accumulate) {
-  gemm(a, b, c, pool, accumulate, gemm_path());
-}
-
-void gemm(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool& pool, bool accumulate,
-          GemmPath path) {
   const int m = a.rank() == 2 ? a.dim(0) : 0, k = a.rank() == 2 ? a.dim(1) : 0,
             n = b.rank() == 2 ? b.dim(1) : 0;
   check_gemm_shapes(a, b, c, m, k, n, "gemm");
   DNNPERF_TRACE_SPAN_VAR(span, "ref", "gemm");
-  annotate_gemm_span(span, m, k, n, path);
+  annotate_gemm_span(span, m, k, n);
   GemmMetricsScope metrics_scope(m, k, n);
-  if (path == GemmPath::packed) {
-    gemm_packed(a.data(), b.data(), c.data(), m, k, n, accumulate, pool);
-    return;
-  }
-  if (!accumulate) c.zero();
-  gemm_naive(a.data(), b.data(), c.data(), m, k, n, pool);
+  gemm_packed(a.data(), b.data(), c.data(), m, k, n, accumulate, pool);
 }
 
 void gemm_at(const Tensor& a_t, const Tensor& b, Tensor& c, ThreadPool& pool, bool accumulate) {
-  gemm_at(a_t, b, c, pool, accumulate, gemm_path());
-}
-
-void gemm_at(const Tensor& a_t, const Tensor& b, Tensor& c, ThreadPool& pool, bool accumulate,
-             GemmPath path) {
   const int k = a_t.rank() == 2 ? a_t.dim(0) : 0, m = a_t.rank() == 2 ? a_t.dim(1) : 0,
             n = b.rank() == 2 ? b.dim(1) : 0;
   check_gemm_shapes(a_t, b, c, m, k, n, "gemm_at");
   DNNPERF_TRACE_SPAN_VAR(span, "ref", "gemm_at");
-  annotate_gemm_span(span, m, k, n, path);
+  annotate_gemm_span(span, m, k, n);
   GemmMetricsScope metrics_scope(m, k, n);
-  if (path == GemmPath::packed) {
-    gemm_at_packed(a_t.data(), b.data(), c.data(), m, k, n, accumulate, pool);
-    return;
-  }
-  if (!accumulate) c.zero();
-  gemm_at_naive(a_t.data(), b.data(), c.data(), m, k, n, pool);
+  gemm_at_packed(a_t.data(), b.data(), c.data(), m, k, n, accumulate, pool);
 }
 
 Tensor im2col(const Tensor& x, int kh, int kw, int stride, int pad, ThreadPool& pool) {

@@ -3,13 +3,9 @@
 // and cuDNN-era frameworks actually execute, and the reason GEMM efficiency
 // dominates the paper's kernel-efficiency calibration).
 //
-// Two execution paths exist:
-//   GemmPath::naive  — the original cache-blocked scalar loop nest. Kept as
-//                      the cross-validation oracle and as the "unoptimized
-//                      framework kernel" baseline in bench/micro_kernels.
-//   GemmPath::packed — BLIS-style packed panels + register-tiled microkernel
-//                      (see ref/gemm_packed.hpp), parallel over the MC x NC
-//                      macro-tile grid. The process-wide default.
+// The GEMM is BLIS-style: packed panels + a register-tiled microkernel (see
+// ref/gemm_packed.hpp), parallel over the MC x NC macro-tile grid. Tests
+// check it against a naive triple loop and the direct conv kernels.
 #pragma once
 
 #include "ref/tensor.hpp"
@@ -17,39 +13,15 @@
 
 namespace dnnperf::ref {
 
-/// Which GEMM implementation the refdnn kernels execute.
-enum class GemmPath { naive, packed };
-
-/// Process-wide path used by the overloads that do not take an explicit
-/// GemmPath (and by the conv/dense layers). Defaults to GemmPath::packed.
-GemmPath gemm_path();
-void set_gemm_path(GemmPath path);
-
-/// RAII path override for tests and benchmarks.
-class ScopedGemmPath {
- public:
-  explicit ScopedGemmPath(GemmPath path) : saved_(gemm_path()) { set_gemm_path(path); }
-  ~ScopedGemmPath() { set_gemm_path(saved_); }
-  ScopedGemmPath(const ScopedGemmPath&) = delete;
-  ScopedGemmPath& operator=(const ScopedGemmPath&) = delete;
-
- private:
-  GemmPath saved_;
-};
-
 /// C[m,n] = A[m,k] * B[k,n] (+ C if accumulate). All matrices dense
-/// row-major. The 5-argument form uses gemm_path().
+/// row-major.
 void gemm(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool& pool,
           bool accumulate = false);
-void gemm(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool& pool, bool accumulate,
-          GemmPath path);
 
 /// C[m,n] = A^T[k,m]^T * B[k,n]: multiplies using A stored transposed
 /// (k-major) — used for the weight-gradient GEMM.
 void gemm_at(const Tensor& a_t, const Tensor& b, Tensor& c, ThreadPool& pool,
              bool accumulate = false);
-void gemm_at(const Tensor& a_t, const Tensor& b, Tensor& c, ThreadPool& pool,
-             bool accumulate, GemmPath path);
 
 /// im2col: x [N,C,H,W] -> columns [N*OH*OW, C*KH*KW] for a kh x kw kernel
 /// with the given stride/pad. Out-of-bounds taps produce zeros.

@@ -136,26 +136,13 @@ Tensor dense_forward(const Tensor& x, const Tensor& w, const Tensor& b, ThreadPo
   if (span.active())
     span.set_args(std::move(util::trace::Args().add("n", n).add("f", f).add("o", o)).str());
   span.set_flops(2.0 * n * f * o);
+  // Seed every output row with the bias, then accumulate x*w through the
+  // packed GEMM.
   Tensor y({n, o});
-  if (gemm_path() == GemmPath::packed) {
-    // Seed every output row with the bias, then accumulate x*w through the
-    // packed GEMM.
-    for (int ni = 0; ni < n; ++ni)
-      for (int oi = 0; oi < o; ++oi)
-        y[static_cast<std::size_t>(ni) * o + oi] = b[static_cast<std::size_t>(oi)];
-    gemm(x, w, y, pool, /*accumulate=*/true);
-    return y;
-  }
-  pool.parallel_for(static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t ni = begin; ni < end; ++ni) {
-      for (int oi = 0; oi < o; ++oi) {
-        float acc = b[static_cast<std::size_t>(oi)];
-        for (int fi = 0; fi < f; ++fi)
-          acc += x[ni * f + fi] * w[static_cast<std::size_t>(fi) * o + oi];
-        y[ni * o + oi] = acc;
-      }
-    }
-  });
+  for (int ni = 0; ni < n; ++ni)
+    for (int oi = 0; oi < o; ++oi)
+      y[static_cast<std::size_t>(ni) * o + oi] = b[static_cast<std::size_t>(oi)];
+  gemm(x, w, y, pool, /*accumulate=*/true);
   return y;
 }
 
@@ -168,20 +155,9 @@ void dense_backward(const Tensor& x, const Tensor& w, const Tensor& dy, Tensor& 
   for (int ni = 0; ni < n; ++ni)
     for (int oi = 0; oi < o; ++oi)
       db[static_cast<std::size_t>(oi)] += dy[static_cast<std::size_t>(ni) * o + oi];
-  if (gemm_path() == GemmPath::packed) {
-    // dW [F,O] = X^T [F,N] * dY [N,O]; X is stored [N,F], i.e. already the
-    // k-major transposed-A layout gemm_at packs from.
-    gemm_at(x, dy, dw, pool);
-  } else {
-    pool.parallel_for(static_cast<std::size_t>(f), [&](std::size_t begin, std::size_t end) {
-      for (std::size_t fi = begin; fi < end; ++fi)
-        for (int ni = 0; ni < n; ++ni) {
-          const float xv = x[static_cast<std::size_t>(ni) * f + fi];
-          for (int oi = 0; oi < o; ++oi)
-            dw[fi * o + oi] += xv * dy[static_cast<std::size_t>(ni) * o + oi];
-        }
-    });
-  }
+  // dW [F,O] = X^T [F,N] * dY [N,O]; X is stored [N,F], i.e. already the
+  // k-major transposed-A layout gemm_at packs from.
+  gemm_at(x, dy, dw, pool);
   pool.parallel_for(static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
     for (std::size_t ni = begin; ni < end; ++ni)
       for (int fi = 0; fi < f; ++fi) {

@@ -4,10 +4,10 @@
 //
 // These are validated by finite-difference gradient checks in the tests and
 // power the runnable training examples. The direct conv kernels are
-// intentionally simple and serve as the numeric oracle; the matmul-shaped
-// ops (dense, and conv via the layers) dispatch on ref::gemm_path() to the
-// packed register-tiled GEMM in ref/gemm.hpp when it is GemmPath::packed
-// (the default) — see DESIGN.md §6 for measured GFLOP/s.
+// intentionally simple and serve as the numeric oracle for the GEMM-lowered
+// conv in ref/conv_fast.hpp, which is what the conv layers run. Dense runs on
+// the packed register-tiled GEMM in ref/gemm.hpp — see DESIGN.md §6 for
+// measured GFLOP/s.
 #pragma once
 
 #include "ref/tensor.hpp"

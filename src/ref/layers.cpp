@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "ref/conv_fast.hpp"
-#include "ref/gemm.hpp"
 
 namespace dnnperf::ref {
 
@@ -19,19 +18,12 @@ Conv2dLayer::Conv2dLayer(std::string name, int in_c, int out_c, int k, ConvSpec 
 
 Tensor Conv2dLayer::forward(const Tensor& x) {
   input_ = x;
-  // GemmPath::packed runs the implicit-GEMM lowering; naive keeps the direct
-  // kernels (the finite-difference-validated oracle).
-  if (gemm_path() == GemmPath::packed)
-    return conv2d_forward_gemm(x, weight, bias, spec_, pool_);
-  return conv2d_forward(x, weight, bias, spec_, pool_);
+  return conv2d_forward_gemm(x, weight, bias, spec_, pool_);
 }
 
 Tensor Conv2dLayer::backward(const Tensor& dy) {
   Tensor dx;
-  if (gemm_path() == GemmPath::packed)
-    conv2d_backward_gemm(input_, weight, dy, spec_, dx, dweight, dbias, pool_);
-  else
-    conv2d_backward(input_, weight, dy, spec_, dx, dweight, dbias, pool_);
+  conv2d_backward_gemm(input_, weight, dy, spec_, dx, dweight, dbias, pool_);
   return dx;
 }
 

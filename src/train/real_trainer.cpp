@@ -1,8 +1,10 @@
 #include "train/real_trainer.hpp"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "hvd/real_engine.hpp"
 #include "mpi/collectives.hpp"
@@ -45,6 +47,30 @@ const TrainMetrics& train_metrics() {
   return m;
 }
 
+/// One measured region of a training step: a trace span plus one clock
+/// sample, added to both the PhaseTimes stats and the registry histogram so
+/// the printed tables and the exported snapshots agree exactly. A
+/// default-constructed Histogram is unregistered, so `hist` may be omitted.
+class Phase {
+ public:
+  Phase(const char* name, util::RunStats& stats, util::metrics::Histogram hist = {})
+      : span("train", name), stats_(stats), hist_(hist) {}
+  ~Phase() {
+    const double dt = since(start_);
+    stats_.add(dt);
+    hist_.observe(dt);
+  }
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
+
+  util::trace::ScopedSpan span;  ///< opened first, so it encloses the sample
+
+ private:
+  util::RunStats& stats_;
+  util::metrics::Histogram hist_;
+  std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
+};
+
 void check(const RealTrainConfig& cfg) {
   if (cfg.ranks <= 0 || cfg.batch_per_rank <= 0 || cfg.steps <= 0)
     throw std::invalid_argument("RealTrainConfig: non-positive size");
@@ -83,7 +109,6 @@ RealTrainResult run_real_training(const RealTrainConfig& cfg) {
   check(cfg);
   RealTrainResult result;
   const int global_batch = cfg.ranks * cfg.batch_per_rank;
-  const ref::ScopedGemmPath kernel_path(cfg.gemm_path);
 
   mpi::World::run(cfg.ranks, [&](mpi::Comm& comm) {
     util::trace::set_thread_name("rank " + std::to_string(comm.rank()));
@@ -93,11 +118,15 @@ RealTrainResult run_real_training(const RealTrainConfig& cfg) {
         ref::make_tiny_cnn(cfg.channels, cfg.image_size, cfg.classes, pool, init_rng, cfg.batch_norm);
     auto params = net.params();
 
-    hvd::RealEngine engine(comm, cfg.policy, cfg.ranks_per_node);
+    // A single rank has nothing to exchange: no engine, no loss allreduce.
+    std::optional<hvd::RealEngine> engine;
     std::vector<int> tensor_ids;
-    tensor_ids.reserve(params.size());
-    for (const auto& p : params)
-      tensor_ids.push_back(engine.register_tensor(p.name, p.grad->size()));
+    if (cfg.ranks > 1) {
+      engine.emplace(comm, cfg.policy, cfg.ranks_per_node);
+      tensor_ids.reserve(params.size());
+      for (const auto& p : params)
+        tensor_ids.push_back(engine->register_tensor(p.name, p.grad->size()));
+    }
 
     ref::SgdOptimizer sgd(cfg.learning_rate);
     util::Rng data_rng(cfg.seed + 1);  // same global data stream on every rank
@@ -107,70 +136,52 @@ RealTrainResult run_real_training(const RealTrainConfig& cfg) {
     const auto loop_start = std::chrono::steady_clock::now();
 
     for (int step = 0; step < cfg.steps; ++step) {
-      const auto step_start = std::chrono::steady_clock::now();
-      DNNPERF_TRACE_SPAN_VAR(step_span, "train", "step");
-      if (step_span.active())
-        step_span.set_args(std::move(util::trace::Args().add("step", step)).str());
-      auto t0 = std::chrono::steady_clock::now();
+      Phase step_phase("step", phases.step);
+      if (step_phase.span.active())
+        step_phase.span.set_args(std::move(util::trace::Args().add("step", step)).str());
       ref::SyntheticBatch shard;
       {
-        DNNPERF_TRACE_SPAN("train", "input");
-        const auto global = ref::synthetic_batch(global_batch, cfg.channels, cfg.image_size,
-                                                 cfg.classes, data_rng);
-        shard = shard_of(global, comm.rank(), cfg.batch_per_rank);
+        Phase phase("input", phases.input, tm.input);
+        auto global = ref::synthetic_batch(global_batch, cfg.channels, cfg.image_size,
+                                           cfg.classes, data_rng);
+        shard = cfg.ranks == 1 ? std::move(global)
+                               : shard_of(global, comm.rank(), cfg.batch_per_rank);
       }
-      phases.input.add(since(t0));
-      tm.input.observe(since(t0));
 
       // The train_step of ref::Network, phase by phase so each can be timed.
-      t0 = std::chrono::steady_clock::now();
       float loss;
       ref::Tensor dlogits;
       {
-        DNNPERF_TRACE_SPAN("train", "forward");
+        Phase phase("forward", phases.forward, tm.forward);
         const ref::Tensor logits = net.forward(shard.images);
         loss = ref::softmax_xent(logits, shard.labels, dlogits);
       }
-      phases.forward.add(since(t0));
-      tm.forward.observe(since(t0));
-
-      t0 = std::chrono::steady_clock::now();
       {
-        DNNPERF_TRACE_SPAN("train", "backward");
+        Phase phase("backward", phases.backward, tm.backward);
         net.backward(dlogits);
       }
-      phases.backward.add(since(t0));
-      tm.backward.observe(since(t0));
 
-      // Hand each gradient to the engine as backward produced it, then run
-      // engine cycles until all are averaged across ranks.
-      t0 = std::chrono::steady_clock::now();
-      {
-        DNNPERF_TRACE_SPAN("train", "exchange");
+      // Hand each gradient to the engine as backward produced it, run engine
+      // cycles until all are averaged across ranks, then sum the loss.
+      if (engine) {
+        Phase phase("exchange", phases.exchange, tm.exchange);
         for (std::size_t i = 0; i < params.size(); ++i)
-          engine.submit(tensor_ids[i], params[i].grad->flat());
-        engine.synchronize();
+          engine->submit(tensor_ids[i], params[i].grad->flat());
+        engine->synchronize();
+        mpi::allreduce(comm, std::span<float>(&loss, 1), mpi::ReduceOp::Sum);
       }
-      phases.exchange.add(since(t0));
-      tm.exchange.observe(since(t0));
 
-      t0 = std::chrono::steady_clock::now();
       {
-        DNNPERF_TRACE_SPAN("train", "optimizer");
+        Phase phase("optimizer", phases.optimizer, tm.optimizer);
         sgd.step(params);
       }
-      phases.optimizer.add(since(t0));
-      tm.optimizer.observe(since(t0));
       tm.images.inc(static_cast<std::uint64_t>(cfg.batch_per_rank));
-
-      mpi::allreduce(comm, std::span<float>(&loss, 1), mpi::ReduceOp::Sum);
       losses.push_back(loss / static_cast<float>(cfg.ranks));
-      phases.step.add(since(step_start));
     }
 
     if (comm.rank() == 0) {
       result.losses = std::move(losses);
-      result.comm = engine.stats();
+      if (engine) result.comm = engine->stats();
       result.phases = phases;
       result.parameters = net.num_parameters();
       result.final_params = flatten_params(net);
@@ -187,73 +198,11 @@ RealTrainResult run_real_training(const RealTrainConfig& cfg) {
 
 RealTrainResult run_real_training_single(const RealTrainConfig& cfg) {
   check(cfg);
-  RealTrainResult result;
-  const int global_batch = cfg.ranks * cfg.batch_per_rank;
-  const ref::ScopedGemmPath kernel_path(cfg.gemm_path);
-
-  ref::ThreadPool pool(cfg.threads_per_rank);
-  util::Rng init_rng(cfg.seed);
-  ref::Network net = ref::make_tiny_cnn(cfg.channels, cfg.image_size, cfg.classes, pool, init_rng, cfg.batch_norm);
-  ref::SgdOptimizer sgd(cfg.learning_rate);
-  util::Rng data_rng(cfg.seed + 1);
-  const TrainMetrics& tm = train_metrics();
-  const auto loop_start = std::chrono::steady_clock::now();
-
-  for (int step = 0; step < cfg.steps; ++step) {
-    const auto step_start = std::chrono::steady_clock::now();
-    DNNPERF_TRACE_SPAN_VAR(step_span, "train", "step");
-    if (step_span.active())
-      step_span.set_args(std::move(util::trace::Args().add("step", step)).str());
-    auto t0 = std::chrono::steady_clock::now();
-    ref::SyntheticBatch batch;
-    {
-      DNNPERF_TRACE_SPAN("train", "input");
-      batch =
-          ref::synthetic_batch(global_batch, cfg.channels, cfg.image_size, cfg.classes, data_rng);
-    }
-    result.phases.input.add(since(t0));
-    tm.input.observe(since(t0));
-
-    t0 = std::chrono::steady_clock::now();
-    float loss;
-    ref::Tensor dlogits;
-    {
-      DNNPERF_TRACE_SPAN("train", "forward");
-      const ref::Tensor logits = net.forward(batch.images);
-      loss = ref::softmax_xent(logits, batch.labels, dlogits);
-    }
-    result.phases.forward.add(since(t0));
-    tm.forward.observe(since(t0));
-
-    t0 = std::chrono::steady_clock::now();
-    {
-      DNNPERF_TRACE_SPAN("train", "backward");
-      net.backward(dlogits);
-    }
-    result.phases.backward.add(since(t0));
-    tm.backward.observe(since(t0));
-
-    t0 = std::chrono::steady_clock::now();
-    {
-      DNNPERF_TRACE_SPAN("train", "optimizer");
-      sgd.step(net.params());
-    }
-    result.phases.optimizer.add(since(t0));
-    tm.optimizer.observe(since(t0));
-    tm.images.inc(static_cast<std::uint64_t>(global_batch));
-
-    result.losses.push_back(loss);
-    result.phases.step.add(since(step_start));
-  }
-  result.parameters = net.num_parameters();
-  result.final_params = flatten_params(net);
-  result.wall_seconds = since(loop_start);
-  result.images_per_sec =
-      result.wall_seconds > 0.0
-          ? static_cast<double>(global_batch) * cfg.steps / result.wall_seconds
-          : 0.0;
-  tm.rate.set(result.images_per_sec);
-  return result;
+  RealTrainConfig single = cfg;
+  single.batch_per_rank = cfg.ranks * cfg.batch_per_rank;
+  single.ranks = 1;
+  single.ranks_per_node = 0;
+  return run_real_training(single);
 }
 
 }  // namespace dnnperf::train

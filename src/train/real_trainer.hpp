@@ -4,14 +4,15 @@
 //
 // This validates the semantics every simulated experiment assumes: sharded
 // data + gradient averaging is equivalent to single-process training on the
-// combined batch, independent of rank count and fusion policy.
+// combined batch, independent of rank count and fusion policy. There is one
+// training loop: single-process (SP) training is the same loop at one rank,
+// which builds no engine and exchanges nothing.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "hvd/policy.hpp"
-#include "ref/gemm.hpp"
 #include "util/stats.hpp"
 
 namespace dnnperf::train {
@@ -29,9 +30,6 @@ struct RealTrainConfig {
   int threads_per_rank = 1;  ///< intra-op threads in each rank's pool
   /// > 0: hierarchical gradient exchange with this many ranks per "node".
   int ranks_per_node = 0;
-  /// Kernel implementation the refdnn layers run on every rank: the packed
-  /// register-tiled GEMM (default) or the naive oracle loops.
-  ref::GemmPath gemm_path = ref::GemmPath::packed;
   hvd::FusionPolicy policy;
 };
 
@@ -39,11 +37,13 @@ struct RealTrainConfig {
 /// is the executable analogue of the fwd/bwd/comm/opt decomposition the
 /// timeline simulator takes as input: `exchange` is the time the framework
 /// thread is blocked on gradient exchange, i.e. the *exposed* communication.
+/// Each sample is the one clock reading that also feeds the phase's trace
+/// span and its `train_step_<phase>_seconds` histogram.
 struct PhaseTimes {
   util::RunStats input;      ///< batch synthesis + shard extraction
   util::RunStats forward;    ///< forward pass + loss/gradient at the head
   util::RunStats backward;   ///< backpropagation through all layers
-  util::RunStats exchange;   ///< submit + engine synchronize (allreduces)
+  util::RunStats exchange;   ///< submit + engine synchronize + loss allreduce; empty at 1 rank
   util::RunStats optimizer;  ///< SGD parameter update
   /// Whole-step wall time, sampled around the same loop body the phase
   /// timers partition — input+forward+backward+exchange+optimizer must
@@ -63,11 +63,13 @@ struct RealTrainResult {
 };
 
 /// Multi-process (MP) training: `ranks` workers, per-rank batch, Horovod-style
-/// gradient averaging each step.
+/// gradient averaging each step. With `ranks == 1` no engine is built and no
+/// exchange phase is recorded (comm stays zero).
 RealTrainResult run_real_training(const RealTrainConfig& config);
 
-/// Single-process (SP) reference: one worker on the combined batch
-/// (ranks * batch_per_rank). Produces the same parameter trajectory as MP.
+/// Single-process (SP) reference: run_real_training with one rank on the
+/// combined batch (ranks * batch_per_rank). Produces the same parameter
+/// trajectory as MP.
 RealTrainResult run_real_training_single(const RealTrainConfig& config);
 
 }  // namespace dnnperf::train

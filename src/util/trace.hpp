@@ -129,10 +129,20 @@ class Span {
 /// Compile-time stand-in for Span when tracing is compiled out: active() is
 /// constant false, so guarded arg formatting is removed entirely.
 struct NullSpan {
+  constexpr NullSpan() = default;
+  constexpr NullSpan(const char*, const char*) {}
   constexpr bool active() const { return false; }
   void set_args(const std::string&) {}
   void set_flops(double) {}
 };
+
+/// The span type the DNNPERF_TRACE_* macros declare, for spans held as
+/// class members: Span, or NullSpan when tracing is compiled out.
+#if DNNPERF_TRACE_ENABLED
+using ScopedSpan = Span;
+#else
+using ScopedSpan = NullSpan;
+#endif
 
 }  // namespace dnnperf::util::trace
 

@@ -11,6 +11,7 @@
 #include <limits>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -518,17 +519,58 @@ TEST(MetricsTraining, TwoRankRequestedVsIssuedParity) {
 }
 
 TEST(MetricsTraining, NoCommSingleProcessRequestsNothing) {
-  // The satellite parity fix: a run with no Horovod engine must report zero
-  // framework requests — real and simulated paths agree on this now.
-  ScopedMetricsState state;
+  // A run with no Horovod engine must report zero framework requests: real
+  // and simulated paths agree on this. SP and a one-rank MP run are the same
+  // loop, which builds no engine and records no exchange phase.
   train::RealTrainConfig cfg;
   cfg.ranks = 1;
   cfg.batch_per_rank = 2;
   cfg.steps = 2;
   cfg.image_size = 6;
-  (void)train::run_real_training_single(cfg);
-  const auto* requested = metrics::snapshot().find(hvd::metric_names::kRequested);
-  if (requested != nullptr) EXPECT_EQ(requested->count, 0u);
+  for (const bool single : {true, false}) {
+    SCOPED_TRACE(single ? "run_real_training_single" : "run_real_training");
+    ScopedMetricsState state;
+    const auto r = single ? train::run_real_training_single(cfg) : train::run_real_training(cfg);
+    const auto* requested = metrics::snapshot().find(hvd::metric_names::kRequested);
+    if (requested != nullptr) {
+      EXPECT_EQ(requested->count, 0u);
+    }
+    EXPECT_EQ(r.comm.framework_requests, 0u);
+    EXPECT_EQ(r.phases.exchange.count(), 0u);
+    EXPECT_EQ(r.phases.step.count(), static_cast<std::size_t>(cfg.steps));
+  }
+}
+
+TEST(MetricsTraining, PhaseHistogramsShareThePhaseTimesSample) {
+  // Each phase reads the clock once and feeds that sample to both the
+  // PhaseTimes stats and the registry histogram, so the two agree exactly.
+  SKIP_IF_COMPILED_OUT();
+  ScopedMetricsState state;
+  train::RealTrainConfig cfg;
+  cfg.ranks = 1;
+  cfg.batch_per_rank = 4;
+  cfg.steps = 3;
+  cfg.image_size = 6;
+  const auto r = train::run_real_training(cfg);
+  const auto snap = metrics::snapshot();
+  const std::pair<const char*, const util::RunStats*> phases[] = {
+      {"train_step_input_seconds", &r.phases.input},
+      {"train_step_forward_seconds", &r.phases.forward},
+      {"train_step_backward_seconds", &r.phases.backward},
+      {"train_step_optimizer_seconds", &r.phases.optimizer}};
+  for (const auto& [name, stats] : phases) {
+    SCOPED_TRACE(name);
+    const auto& hist = require(snap, name).hist;
+    ASSERT_EQ(hist.count, stats->count());
+    EXPECT_NEAR(hist.sum, stats->mean() * static_cast<double>(stats->count()), 1e-12);
+    EXPECT_EQ(hist.min, stats->min());
+    EXPECT_EQ(hist.max, stats->max());
+  }
+  // One rank exchanges nothing, so no exchange sample is recorded.
+  const auto* exchange = snap.find("train_step_exchange_seconds");
+  if (exchange != nullptr) {
+    EXPECT_EQ(exchange->hist.count, 0u);
+  }
 }
 
 }  // namespace

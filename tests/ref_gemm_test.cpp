@@ -19,32 +19,44 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-const char* path_name(GemmPath p) { return p == GemmPath::naive ? "naive" : "packed"; }
+/// Pool the GEMM-lowered kernels run on: one thread (a serial sweep of the
+/// macro-tile grid) or several (the grid split across workers). Results must
+/// match the oracle either way.
+enum class Pool { serial, threaded };
+
+int pool_threads(Pool p, int threaded) { return p == Pool::serial ? 1 : threaded; }
+
+/// GemmShapeParam instance suffix. The names predate the pool axis: they
+/// once labelled a naive/packed kernel switch that no longer exists, and are
+/// kept so the test IDs stay stable. Every instance runs the packed GEMM.
+const char* instance_suffix(Pool p) { return p == Pool::serial ? "naive" : "packed"; }
+
+const char* pool_name(Pool p) { return p == Pool::serial ? "serial pool" : "threaded pool"; }
 
 // Shapes include ragged cases: m/n/k that are not multiples of the register
 // tile (8x8 or 6x16), the 96-row/240-col macro tiles, or the 256-deep k
 // block — plus k > 256 so multi-k-block accumulation is exercised.
-using GemmCase = std::tuple<std::tuple<int, int, int>, GemmPath>;
+using GemmCase = std::tuple<std::tuple<int, int, int>, Pool>;
 
 class GemmShapeParam : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmShapeParam, MatchesNaiveMatmul) {
-  const auto [shape, path] = GetParam();
+  const auto [shape, pool_kind] = GetParam();
   const auto [m, k, n] = shape;
-  SCOPED_TRACE(path_name(path));
+  SCOPED_TRACE(pool_name(pool_kind));
   util::Rng rng(31);
   const Tensor a = Tensor::randn({m, k}, rng);
   const Tensor b = Tensor::randn({k, n}, rng);
-  ThreadPool pool(3);
+  ThreadPool pool(pool_threads(pool_kind, 3));
   Tensor c({m, n});
-  gemm(a, b, c, pool, /*accumulate=*/false, path);
+  gemm(a, b, c, pool, /*accumulate=*/false);
   EXPECT_LT(max_abs_diff(c, naive_matmul(a, b)), 1e-4f);
 }
 
 TEST_P(GemmShapeParam, TransposedVariantMatches) {
-  const auto [shape, path] = GetParam();
+  const auto [shape, pool_kind] = GetParam();
   const auto [m, k, n] = shape;
-  SCOPED_TRACE(path_name(path));
+  SCOPED_TRACE(pool_name(pool_kind));
   util::Rng rng(32);
   const Tensor a = Tensor::randn({m, k}, rng);
   const Tensor b = Tensor::randn({k, n}, rng);
@@ -53,32 +65,32 @@ TEST_P(GemmShapeParam, TransposedVariantMatches) {
   for (int i = 0; i < m; ++i)
     for (int kk = 0; kk < k; ++kk)
       a_t[static_cast<std::size_t>(kk) * m + i] = a[static_cast<std::size_t>(i) * k + kk];
-  ThreadPool pool(2);
+  ThreadPool pool(pool_threads(pool_kind, 2));
   Tensor c({m, n});
-  gemm_at(a_t, b, c, pool, /*accumulate=*/false, path);
+  gemm_at(a_t, b, c, pool, /*accumulate=*/false);
   EXPECT_LT(max_abs_diff(c, naive_matmul(a, b)), 1e-4f);
 }
 
 TEST_P(GemmShapeParam, AccumulateAddsToExisting) {
-  const auto [shape, path] = GetParam();
+  const auto [shape, pool_kind] = GetParam();
   const auto [m, k, n] = shape;
-  SCOPED_TRACE(path_name(path));
+  SCOPED_TRACE(pool_name(pool_kind));
   util::Rng rng(33);
   const Tensor a = Tensor::randn({m, k}, rng);
   const Tensor b = Tensor::randn({k, n}, rng);
-  ThreadPool pool(2);
+  ThreadPool pool(pool_threads(pool_kind, 2));
   Tensor c({m, n});
   c.fill(1.0f);
-  gemm(a, b, c, pool, /*accumulate=*/true, path);
+  gemm(a, b, c, pool, /*accumulate=*/true);
   Tensor expected = naive_matmul(a, b);
   for (std::size_t i = 0; i < expected.size(); ++i) expected[i] += 1.0f;
   EXPECT_LT(max_abs_diff(c, expected), 1e-4f);
 }
 
 TEST_P(GemmShapeParam, TransposedAccumulateAddsToExisting) {
-  const auto [shape, path] = GetParam();
+  const auto [shape, pool_kind] = GetParam();
   const auto [m, k, n] = shape;
-  SCOPED_TRACE(path_name(path));
+  SCOPED_TRACE(pool_name(pool_kind));
   util::Rng rng(38);
   const Tensor a = Tensor::randn({m, k}, rng);
   const Tensor b = Tensor::randn({k, n}, rng);
@@ -86,10 +98,10 @@ TEST_P(GemmShapeParam, TransposedAccumulateAddsToExisting) {
   for (int i = 0; i < m; ++i)
     for (int kk = 0; kk < k; ++kk)
       a_t[static_cast<std::size_t>(kk) * m + i] = a[static_cast<std::size_t>(i) * k + kk];
-  ThreadPool pool(2);
+  ThreadPool pool(pool_threads(pool_kind, 2));
   Tensor c({m, n});
   c.fill(0.5f);
-  gemm_at(a_t, b, c, pool, /*accumulate=*/true, path);
+  gemm_at(a_t, b, c, pool, /*accumulate=*/true);
   Tensor expected = naive_matmul(a, b);
   for (std::size_t i = 0; i < expected.size(); ++i) expected[i] += 0.5f;
   EXPECT_LT(max_abs_diff(c, expected), 1e-4f);
@@ -108,23 +120,12 @@ INSTANTIATE_TEST_SUITE_P(
                            {130, 257, 100},  // m > MC, k = KC + 1
                            {95, 33, 241},    // n > NC by one
                        }),
-                       ::testing::Values(GemmPath::naive, GemmPath::packed)),
+                       ::testing::Values(Pool::serial, Pool::threaded)),
     [](const auto& param_info) {
       const auto& shape = std::get<0>(param_info.param);
       return std::to_string(std::get<0>(shape)) + "x" + std::to_string(std::get<1>(shape)) +
-             "x" + std::to_string(std::get<2>(shape)) + "_" + path_name(std::get<1>(param_info.param));
+             "x" + std::to_string(std::get<2>(shape)) + "_" + instance_suffix(std::get<1>(param_info.param));
     });
-
-TEST(Gemm, DefaultPathIsPacked) { EXPECT_EQ(gemm_path(), GemmPath::packed); }
-
-TEST(Gemm, ScopedPathOverrideRestores) {
-  const GemmPath before = gemm_path();
-  {
-    ScopedGemmPath scoped(GemmPath::naive);
-    EXPECT_EQ(gemm_path(), GemmPath::naive);
-  }
-  EXPECT_EQ(gemm_path(), before);
-}
 
 TEST(Gemm, RejectsBadShapes) {
   ThreadPool pool(1);
@@ -193,37 +194,37 @@ TEST(Im2col, ColumnLayout) {
 }
 
 // ---------------------------------------------------------------------------
-// im2col+GEMM convolution vs the direct kernels (both GEMM paths)
+// im2col+GEMM convolution vs the direct kernels (serial and threaded pools)
 // ---------------------------------------------------------------------------
 
-// n, c, hw, oc, stride, pad, path
-using ConvCase = std::tuple<int, int, int, int, int, int, GemmPath>;
+// n, c, hw, oc, stride, pad, pool
+using ConvCase = std::tuple<int, int, int, int, int, int, Pool>;
 
 class ConvGemmParam : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvGemmParam, ForwardMatchesDirectKernel) {
-  const auto [n, c, hw, oc, stride, pad, path] = GetParam();
-  SCOPED_TRACE(path_name(path));
+  const auto [n, c, hw, oc, stride, pad, pool_kind] = GetParam();
+  SCOPED_TRACE(pool_name(pool_kind));
   util::Rng rng(35);
   const Tensor x = Tensor::randn({n, c, hw, hw}, rng);
   const Tensor w = Tensor::randn({oc, c, 3, 3}, rng, 0.3f);
   const Tensor b = Tensor::randn({oc}, rng, 0.1f);
-  ThreadPool pool(2);
+  ThreadPool pool(pool_threads(pool_kind, 2));
   const ConvSpec spec{stride, pad};
   const Tensor direct = conv2d_forward(x, w, b, spec, pool);
-  const Tensor lowered = conv2d_forward_gemm(x, w, b, spec, pool, path);
+  const Tensor lowered = conv2d_forward_gemm(x, w, b, spec, pool);
   ASSERT_TRUE(direct.same_shape(lowered));
   EXPECT_LT(max_abs_diff(direct, lowered), 1e-4f);
 }
 
 TEST_P(ConvGemmParam, BackwardMatchesDirectKernel) {
-  const auto [n, c, hw, oc, stride, pad, path] = GetParam();
-  SCOPED_TRACE(path_name(path));
+  const auto [n, c, hw, oc, stride, pad, pool_kind] = GetParam();
+  SCOPED_TRACE(pool_name(pool_kind));
   util::Rng rng(36);
   const Tensor x = Tensor::randn({n, c, hw, hw}, rng);
   const Tensor w = Tensor::randn({oc, c, 3, 3}, rng, 0.3f);
   const Tensor b = Tensor::zeros({oc});
-  ThreadPool pool(2);
+  ThreadPool pool(pool_threads(pool_kind, 2));
   const ConvSpec spec{stride, pad};
   const Tensor y = conv2d_forward(x, w, b, spec, pool);
   util::Rng rng2(37);
@@ -231,7 +232,7 @@ TEST_P(ConvGemmParam, BackwardMatchesDirectKernel) {
 
   Tensor dx1, dw1, db1, dx2, dw2, db2;
   conv2d_backward(x, w, dy, spec, dx1, dw1, db1, pool);
-  conv2d_backward_gemm(x, w, dy, spec, dx2, dw2, db2, pool, path);
+  conv2d_backward_gemm(x, w, dy, spec, dx2, dw2, db2, pool);
   EXPECT_LT(max_abs_diff(dx1, dx2), 1e-3f);
   EXPECT_LT(max_abs_diff(dw1, dw2), 1e-3f);
   EXPECT_LT(max_abs_diff(db1, db2), 1e-3f);
@@ -242,7 +243,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3), ::testing::Values(1, 4),
                        ::testing::Values(5, 8), ::testing::Values(1, 8),
                        ::testing::Values(1, 2), ::testing::Values(0, 1),
-                       ::testing::Values(GemmPath::naive, GemmPath::packed)));
+                       ::testing::Values(Pool::serial, Pool::threaded)));
 
 // Larger-than-one-macro-tile conv: N*OH*OW = 2*16*16 = 512 rows > MC and
 // oc = 24 exercises a ragged N edge of the implicit path.
@@ -254,7 +255,7 @@ TEST(ConvGemm, MultiTileImplicitMatchesDirect) {
   ThreadPool pool(3);
   const ConvSpec spec{1, 1};
   const Tensor direct = conv2d_forward(x, w, b, spec, pool);
-  const Tensor implicit = conv2d_forward_gemm(x, w, b, spec, pool, GemmPath::packed);
+  const Tensor implicit = conv2d_forward_gemm(x, w, b, spec, pool);
   EXPECT_LT(max_abs_diff(direct, implicit), 1e-4f);
 }
 
@@ -269,9 +270,10 @@ TEST(ConvGemm, NonSquareKernelsMatchDirect) {
     const Tensor b = Tensor::randn({6}, rng, 0.1f);
     const ConvSpec spec{1, 1};
     const Tensor direct = conv2d_forward(x, w, b, spec, pool);
-    for (GemmPath path : {GemmPath::naive, GemmPath::packed}) {
-      SCOPED_TRACE(path_name(path));
-      const Tensor lowered = conv2d_forward_gemm(x, w, b, spec, pool, path);
+    for (Pool pool_kind : {Pool::serial, Pool::threaded}) {
+      SCOPED_TRACE(pool_name(pool_kind));
+      ThreadPool gemm_pool(pool_threads(pool_kind, 2));
+      const Tensor lowered = conv2d_forward_gemm(x, w, b, spec, gemm_pool);
       ASSERT_TRUE(direct.same_shape(lowered));
       EXPECT_LT(max_abs_diff(direct, lowered), 1e-4f);
     }
@@ -280,10 +282,11 @@ TEST(ConvGemm, NonSquareKernelsMatchDirect) {
     const Tensor dy = Tensor::randn(direct.shape(), grng);
     Tensor dx1, dw1, db1;
     conv2d_backward(x, w, dy, spec, dx1, dw1, db1, pool);
-    for (GemmPath path : {GemmPath::naive, GemmPath::packed}) {
-      SCOPED_TRACE(path_name(path));
+    for (Pool pool_kind : {Pool::serial, Pool::threaded}) {
+      SCOPED_TRACE(pool_name(pool_kind));
+      ThreadPool gemm_pool(pool_threads(pool_kind, 2));
       Tensor dx2, dw2, db2;
-      conv2d_backward_gemm(x, w, dy, spec, dx2, dw2, db2, pool, path);
+      conv2d_backward_gemm(x, w, dy, spec, dx2, dw2, db2, gemm_pool);
       EXPECT_LT(max_abs_diff(dx1, dx2), 1e-3f);
       EXPECT_LT(max_abs_diff(dw1, dw2), 1e-3f);
       EXPECT_LT(max_abs_diff(db1, db2), 1e-3f);

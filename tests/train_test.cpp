@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "hw/platforms.hpp"
 #include "train/real_trainer.hpp"
@@ -247,8 +250,9 @@ TEST(RealTrainer, HierarchicalExchangeMatchesFlat) {
 TEST(RealTrainer, PhaseAccountingReconcilesWithStepTime) {
   // The five phase timers partition the loop body the step timer brackets:
   // their sum must reconcile with the measured wall step time. The slack
-  // budget covers the untimed loss allreduce and timer overhead — the same
-  // invariant the profiler's T001 check enforces on recorded traces at 5%.
+  // budget covers loop bookkeeping between phases and timer overhead — the
+  // same invariant the profiler's T001 check enforces on recorded traces at
+  // 5%.
   RealTrainConfig cfg;
   cfg.ranks = 2;
   cfg.batch_per_rank = 4;
@@ -263,6 +267,77 @@ TEST(RealTrainer, PhaseAccountingReconcilesWithStepTime) {
     EXPECT_LE(attributed, step * 1.0001 + 1e-6);  // phases cannot exceed the step
     EXPECT_GE(attributed, step * 0.85 - 200e-6)
         << "unattributed step time: step " << step << " s vs phases " << attributed << " s";
+  }
+}
+
+// FNV-1a over the bit patterns of a parameter vector.
+std::uint64_t param_bits_hash(const std::vector<float>& params) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const float f : params) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &f, sizeof bits);
+    for (int i = 0; i < 4; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+struct GoldenRun {
+  const char* what;
+  bool single;  ///< run_real_training_single instead of run_real_training
+  RealTrainConfig cfg;
+  std::vector<float> losses;
+  std::uint64_t params_hash;
+};
+
+RealTrainConfig compute_shape() {  // the bench suite's train_compute config
+  RealTrainConfig cfg;
+  cfg.ranks = 2;
+  cfg.threads_per_rank = 2;
+  cfg.batch_per_rank = 32;
+  cfg.image_size = 32;
+  cfg.steps = 2;
+  return cfg;
+}
+
+TEST(RealTrainer, GoldenLossesAndParametersAreBitExact) {
+  // Exact losses and a hash of the exact final parameters, SP and 2-rank MP,
+  // on the default and the train_compute shapes: refactors of the training
+  // loop and the kernels must not move a single bit. The bits depend on the
+  // GEMM microkernel, so the AVX2/FMA build has its own table.
+#if defined(__AVX2__) && defined(__FMA__)
+  const GoldenRun runs[] = {
+      {"default MP", false, RealTrainConfig{}, {0x1.49876cp+2f, 0x1.70623p+0f, 0x1.4f45c4p+0f},
+       0xe09ac6ab09505cfdull},
+      {"default SP", true, RealTrainConfig{}, {0x1.49876cp+2f, 0x1.70622ep+0f, 0x1.4f45c4p+0f},
+       0x7d8623419e5939eeull},
+      {"compute MP", false, compute_shape(), {0x1.8a5134p+2f, 0x1.f36cf6p+0f},
+       0x8929e457dc8dea26ull},
+      {"compute SP", true, compute_shape(), {0x1.8a5138p+2f, 0x1.f36cfcp+0f},
+       0x9f6ebaa7af813a64ull},
+  };
+#else
+  const GoldenRun runs[] = {
+      {"default MP", false, RealTrainConfig{}, {0x1.49876cp+2f, 0x1.70623p+0f, 0x1.4f45c4p+0f},
+       0xf668997853bc82adull},
+      {"default SP", true, RealTrainConfig{}, {0x1.49876ap+2f, 0x1.70622ep+0f, 0x1.4f45c2p+0f},
+       0xa16d8c6820cdd111ull},
+      {"compute MP", false, compute_shape(), {0x1.8a5136p+2f, 0x1.f36cf4p+0f},
+       0x80f7288f4edc523cull},
+      {"compute SP", true, compute_shape(), {0x1.8a5138p+2f, 0x1.f36cfcp+0f},
+       0xcd0669e4e91553eeull},
+  };
+#endif
+  for (const auto& g : runs) {
+    SCOPED_TRACE(g.what);
+    const auto r = g.single ? run_real_training_single(g.cfg) : run_real_training(g.cfg);
+    ASSERT_EQ(r.losses.size(), g.losses.size());
+    for (std::size_t s = 0; s < g.losses.size(); ++s)
+      EXPECT_EQ(r.losses[s], g.losses[s]) << "step " << s;
+    EXPECT_EQ(r.final_params.size(), 1460u);
+    EXPECT_EQ(param_bits_hash(r.final_params), g.params_hash);
   }
 }
 
