@@ -157,6 +157,29 @@ void BM_Conv2dBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackward);
 
+// GEMM-lowered conv backward at the two conv layers of the bench suite's
+// train_compute workload (3x3, stride 1, pad 1, batch 32). Arg: threads.
+// Rate = GFLOP/s of the dW and dX GEMMs (2 * rows * OC * CKK each).
+void BM_Conv2dBackwardGemm(benchmark::State& state, int c, int hw, int oc) {
+  ref::ThreadPool pool(static_cast<int>(state.range(0)));
+  util::Rng rng(15);
+  const int batch = 32;
+  const ref::Tensor x = ref::Tensor::randn({batch, c, hw, hw}, rng);
+  const ref::Tensor w = ref::Tensor::randn({oc, c, 3, 3}, rng, 0.1f);
+  const ref::Tensor dy = ref::Tensor::randn({batch, oc, hw, hw}, rng);
+  ref::Tensor dx, dw, db;
+  for (auto _ : state) {
+    ref::conv2d_backward_gemm(x, w, dy, ref::ConvSpec{1, 1}, dx, dw, db, pool);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::ClobberMemory();
+  }
+  const double flops = 2.0 * 2.0 * batch * hw * hw * oc * c * 9;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * flops));
+}
+BENCHMARK_CAPTURE(BM_Conv2dBackwardGemm, conv1_3to8_32, 3, 32, 8)->Arg(1)->Arg(2);
+BENCHMARK_CAPTURE(BM_Conv2dBackwardGemm, conv2_8to16_16, 8, 16, 16)->Arg(1)->Arg(2);
+
 void BM_DenseForward(benchmark::State& state) {
   ref::ThreadPool pool(2);
   util::Rng rng(4);
@@ -200,8 +223,7 @@ void BM_TrainStepTinyCnn(benchmark::State& state) {
   ref::ThreadPool pool(2);
   util::Rng rng(6);
   ref::Network net = ref::make_tiny_cnn(3, 8, 4, pool, rng);
-  util::Rng data_rng(7);
-  const auto batch = ref::synthetic_batch(8, 3, 8, 4, data_rng);
+  const auto batch = ref::synthetic_batch(7, 0, 0, 8, 3, 8, 4, pool);
   ref::SgdOptimizer sgd(0.05f);
   for (auto _ : state) {
     const float loss = net.train_step(batch.images, batch.labels);

@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
       bn.beta[static_cast<std::size_t>(c)] = 0.1f * static_cast<float>(c % 5) - 0.2f;
     }
 
-    const ref::SyntheticBatch data = ref::synthetic_batch(batch, 3, size, classes, rng);
+    const ref::SyntheticBatch data = ref::synthetic_batch(2019, 0, 0, batch, 3, size, classes, pool);
 
     // ---- fold BN into the conv, calibrated on the benchmark batch --------
     // BN normalizes with the batch's own statistics, so calibrating on the

@@ -144,55 +144,65 @@ Tensor conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, Co
 
 void conv2d_backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec spec,
                           Tensor& dx, Tensor& dw, Tensor& db, ThreadPool& pool) {
-  DNNPERF_TRACE_SPAN_VAR(span, "ref", "conv2d_bwd_gemm");
-  if (span.active())
-    span.set_args(std::move(util::trace::Args()
-                                .add("n", x.dim(0))
-                                .add("c", x.dim(1))
-                                .add("oc", w.dim(0))
-                                .add("k", w.dim(2)))
-                      .str());
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), ww = x.dim(3);
   const int oc = w.dim(0), kh = w.dim(2), kw = w.dim(3);
-  const int oh = dy.dim(2), ow = dy.dim(3);
+  const int p = dy.dim(2) * dy.dim(3);  // output positions per image
   const int ckk = c * kh * kw;
-  const std::size_t rows_n = static_cast<std::size_t>(n) * oh * ow;
+  DNNPERF_TRACE_SPAN_VAR(span, "ref", "conv2d_bwd_gemm");
+  if (span.active()) {
+    span.set_args(std::move(util::trace::Args().add("n", n).add("c", c).add("oc", oc).add("k", kh))
+                      .str());
+    span.set_flops(2.0 * 2.0 * n * p * oc * ckk);  // the dW and dX GEMMs
+  }
+  const std::size_t x_image = static_cast<std::size_t>(c) * h * ww;
+  const std::size_t dy_image = static_cast<std::size_t>(oc) * p;
+  const std::size_t w_size = static_cast<std::size_t>(oc) * ckk;
 
-  // dY [N,OC,OH,OW] -> row-major [N*OH*OW, OC].
-  Tensor dy_rows({static_cast<int>(rows_n), oc});
-  pool.parallel_for(rows_n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      const int ni = static_cast<int>(idx / (static_cast<std::size_t>(oh) * ow));
-      const int rem = static_cast<int>(idx % (static_cast<std::size_t>(oh) * ow));
-      const int oy = rem / ow;
-      const int ox = rem % ow;
-      float* row = dy_rows.data() + idx * static_cast<std::size_t>(oc);
-      for (int o = 0; o < oc; ++o) row[o] = dy.at4(ni, o, oy, ox);
+  // Per-image weight/bias gradients, summed in image order below so the
+  // result is the same bits for any thread count.
+  std::vector<float> dw_parts(static_cast<std::size_t>(n) * w_size);
+  std::vector<float> db_parts(static_cast<std::size_t>(n) * oc);
+  dx = Tensor::zeros(x.shape());
+
+  // Images are independent. The GEMMs inside run inline on this worker (the
+  // pool's re-entrancy guard); with one image they run on the whole pool.
+  pool.parallel_for(static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
+    thread_local std::vector<float> cols, dcols;  // [P, CKK] each
+    cols.resize(static_cast<std::size_t>(p) * ckk);
+    dcols.resize(static_cast<std::size_t>(p) * ckk);
+    for (std::size_t i = begin; i < end; ++i) {
+      // NCHW dY is already [OC, P] per image.
+      const float* dy_i = dy.data() + i * dy_image;
+      im2col_image(x.data() + i * x_image, c, h, ww, kh, kw, spec.stride, spec.pad, cols.data());
+      {  // dW_i [OC, CKK] = dY_i [OC, P] * cols [P, CKK]
+        detail::GemmMetricsScope metrics_scope(oc, p, ckk);
+        detail::gemm_packed(dy_i, cols.data(), dw_parts.data() + i * w_size, oc, p, ckk,
+                            /*accumulate=*/false, pool);
+      }
+      for (int o = 0; o < oc; ++o) {
+        const float* row = dy_i + static_cast<std::size_t>(o) * p;
+        float sum = 0.0f;
+        for (int q = 0; q < p; ++q) sum += row[q];
+        db_parts[i * oc + static_cast<std::size_t>(o)] = sum;
+      }
+      {  // dcols [P, CKK] = dY_i^T [P, OC] * W [OC, CKK]
+        detail::GemmMetricsScope metrics_scope(p, oc, ckk);
+        detail::gemm_at_packed(dy_i, w.data(), dcols.data(), p, oc, ckk, /*accumulate=*/false,
+                               pool);
+      }
+      col2im_image(dcols.data(), c, h, ww, kh, kw, spec.stride, spec.pad,
+                   dx.data() + i * x_image);
     }
   });
 
-  // db[o] = sum of dY over (n, oh, ow).
-  db = Tensor::zeros({oc});
-  for (std::size_t i = 0; i < rows_n; ++i)
-    for (int o = 0; o < oc; ++o)
-      db[static_cast<std::size_t>(o)] += dy_rows[i * static_cast<std::size_t>(oc) + o];
-
-  // dW' [CKK, OC] = cols^T [CKK, rows] * dY_rows [rows, OC] — the packed
-  // gemm_at is the weight-gradient fast path.
-  const Tensor cols = im2col(x, kh, kw, spec.stride, spec.pad, pool);
-  Tensor dwt({ckk, oc});
-  gemm_at(cols, dy_rows, dwt, pool);
-  // Repack dW' -> dW [OC, C, KH, KW].
   dw = Tensor::zeros(w.shape());
-  for (int o = 0; o < oc; ++o)
-    for (int j = 0; j < ckk; ++j)
-      dw[static_cast<std::size_t>(o) * ckk + j] = dwt[static_cast<std::size_t>(j) * oc + o];
-
-  // dcols [rows, CKK] = dY_rows [rows, OC] * W'^T; W'^T is W viewed [OC, CKK].
-  Tensor w_flat = w.reshaped({oc, ckk});
-  Tensor dcols({static_cast<int>(rows_n), ckk});
-  gemm(dy_rows, w_flat, dcols, pool);
-  dx = col2im(dcols, n, c, h, ww, kh, kw, spec.stride, spec.pad, pool);
+  db = Tensor::zeros({oc});
+  for (int i = 0; i < n; ++i) {
+    const float* dw_i = dw_parts.data() + static_cast<std::size_t>(i) * w_size;
+    for (std::size_t j = 0; j < w_size; ++j) dw[j] += dw_i[j];
+    const float* db_i = db_parts.data() + static_cast<std::size_t>(i) * oc;
+    for (int o = 0; o < oc; ++o) db[static_cast<std::size_t>(o)] += db_i[o];
+  }
 }
 
 }  // namespace dnnperf::ref

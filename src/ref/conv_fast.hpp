@@ -1,18 +1,23 @@
 // GEMM-lowered convolution: the path MKL-DNN-era frameworks execute.
 // Numerically equivalent to the direct kernels in ref/kernels.hpp (tests
 // enforce <= 1e-4 max deviation) but structured as matrix multiplication.
+// With P = OH*OW output positions per image and X_i, dY_i image i:
 //
-//   forward:  Y[N*OH*OW, OC]   = im2col(X) * W'[CKK, OC]        (+ bias)
-//   dW:       dW[CKK, OC]      = im2col(X)^T * dY
-//   dX:       col2im( dY * W'^T )
+//   forward:  Y[N*P, OC]   = im2col(X) * W'[CKK, OC]           (+ bias)
+//   dW:       dW[OC, CKK]  = sum_i dY_i[OC, P] * im2col(X_i)[P, CKK]
+//   dX_i:     col2im( dY_i^T[P, OC] * W[OC, CKK] )
 //
 // The forward pass is an *implicit* GEMM: the im2col matrix is never
 // materialized. Each thread packs one MC x KC panel of it at
 // a time straight from the NCHW input (computing the kernel-tap addressing
 // on the fly), the bias add is fused into the microkernel store epilogue,
 // and the output is written directly in NCHW layout — peak extra memory is
-// one MC x KC + KC x NC panel pair per thread. The backward pass
-// materializes im2col(X) and runs the packed gemm/gemm_at.
+// one MC x KC + KC x NC panel pair per thread. The backward pass runs
+// image by image in parallel: each thread lowers one image into a
+// thread-local [P, CKK] buffer and runs that image's two GEMMs inline (NCHW
+// dY_i already is [OC, P], so nothing is transposed). Per-image dW and db
+// are summed in image order, so the gradients are the same bits for any
+// thread count.
 #pragma once
 
 #include "ref/gemm.hpp"

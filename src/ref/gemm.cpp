@@ -18,40 +18,6 @@ int out_dim(int in, int k, int stride, int pad) {
   return out;
 }
 
-/// Registry instrumentation for both GEMM entry points: call/FLOP counters,
-/// a duration histogram, and a most-recent-throughput gauge. The handles are
-/// function-local statics so registration happens once; with metrics
-/// runtime-disabled the whole scope is one relaxed load and no clock read.
-class GemmMetricsScope {
- public:
-  GemmMetricsScope(int m, int k, int n)
-      : flops_(2.0 * m * k * n), active_(util::metrics::enabled()) {
-    if (active_) start_ = std::chrono::steady_clock::now();
-  }
-  ~GemmMetricsScope() {
-    if (!active_) return;
-    static const auto calls =
-        util::metrics::counter("ref_gemm_calls_total", "GEMM kernel invocations");
-    static const auto flops =
-        util::metrics::counter("ref_gemm_flops_total", "Floating-point operations (2*m*k*n)");
-    static const auto seconds =
-        util::metrics::histogram("ref_gemm_seconds", "GEMM wall time per call, seconds");
-    static const auto gflops = util::metrics::gauge(
-        "ref_gemm_gflops", "Throughput of the most recent GEMM call, GFLOP/s");
-    const double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
-    calls.inc();
-    flops.inc(static_cast<std::uint64_t>(flops_));
-    seconds.observe(dt);
-    if (dt > 0.0) gflops.set(flops_ / dt * 1e-9);
-  }
-
- private:
-  double flops_;
-  bool active_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// Shape args and FLOP count for a GEMM-shaped trace span.
 template <typename SpanT>
 void annotate_gemm_span(SpanT& span, int m, int k, int n) {
@@ -88,27 +54,61 @@ struct RowMajorStore {
   }
 };
 
+}  // namespace
+
+namespace detail {
+
+PanelPair& thread_panels() {
+  thread_local PanelPair panels{std::vector<float>(static_cast<std::size_t>(kMC) * kKC),
+                                std::vector<float>(static_cast<std::size_t>(kKC) * kNC)};
+  return panels;
+}
+
+GemmMetricsScope::GemmMetricsScope(int m, int k, int n)
+    : flops_(2.0 * m * k * n), active_(util::metrics::enabled()) {
+  if (active_) start_ = std::chrono::steady_clock::now();
+}
+
+GemmMetricsScope::~GemmMetricsScope() {
+  if (!active_) return;
+  // Function-local statics, so registration happens once.
+  static const auto calls =
+      util::metrics::counter("ref_gemm_calls_total", "GEMM kernel invocations");
+  static const auto flops =
+      util::metrics::counter("ref_gemm_flops_total", "Floating-point operations (2*m*k*n)");
+  static const auto seconds =
+      util::metrics::histogram("ref_gemm_seconds", "GEMM wall time per call, seconds");
+  static const auto gflops = util::metrics::gauge(
+      "ref_gemm_gflops", "Throughput of the most recent GEMM call, GFLOP/s");
+  const double dt =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+  calls.inc();
+  flops.inc(static_cast<std::uint64_t>(flops_));
+  seconds.observe(dt);
+  if (dt > 0.0) gflops.set(flops_ / dt * 1e-9);
+}
+
 void gemm_packed(const float* pa, const float* pb, float* pc, int m, int k, int n,
                  bool accumulate, ThreadPool& pool) {
   const auto pack_a = [pa, k](float* dst, int i0, int mh, int k0, int kc) {
-    const int mpanels = (mh + detail::kMR - 1) / detail::kMR;
+    const int mpanels = (mh + kMR - 1) / kMR;
     for (int ip = 0; ip < mpanels; ++ip) {
-      float* panel = dst + static_cast<std::size_t>(ip) * kc * detail::kMR;
-      for (int r = 0; r < detail::kMR; ++r) {
-        const int i = i0 + ip * detail::kMR + r;
+      float* panel = dst + static_cast<std::size_t>(ip) * kc * kMR;
+      for (int r = 0; r < kMR; ++r) {
+        const int i = i0 + ip * kMR + r;
         if (i < i0 + mh) {
           const float* src = pa + static_cast<std::size_t>(i) * k + k0;
-          for (int kk = 0; kk < kc; ++kk) panel[kk * detail::kMR + r] = src[kk];
+          for (int kk = 0; kk < kc; ++kk) panel[kk * kMR + r] = src[kk];
         } else {
-          for (int kk = 0; kk < kc; ++kk) panel[kk * detail::kMR + r] = 0.0f;
+          for (int kk = 0; kk < kc; ++kk) panel[kk * kMR + r] = 0.0f;
         }
       }
     }
   };
   const auto pack_b = [pb, n](float* dst, int k0, int kc, int j0, int nw) {
-    detail::pack_b_rowmajor(dst, pb, n, k0, kc, j0, nw);
+    pack_b_rowmajor(dst, pb, n, k0, kc, j0, nw);
   };
-  detail::packed_gemm(m, n, k, pack_a, pack_b, RowMajorStore{pc, n, accumulate}, pool);
+  packed_gemm(m, n, k, pack_a, pack_b, RowMajorStore{pc, n, accumulate}, pool);
 }
 
 void gemm_at_packed(const float* pa, const float* pb, float* pc, int m, int k, int n,
@@ -116,26 +116,26 @@ void gemm_at_packed(const float* pa, const float* pb, float* pc, int m, int k, i
   // A is stored transposed [k, m]: a row of the logical A is a column of the
   // stored matrix, so the pack loops kk-outer for contiguous reads.
   const auto pack_a = [pa, m](float* dst, int i0, int mh, int k0, int kc) {
-    const int mpanels = (mh + detail::kMR - 1) / detail::kMR;
+    const int mpanels = (mh + kMR - 1) / kMR;
     for (int ip = 0; ip < mpanels; ++ip) {
-      float* panel = dst + static_cast<std::size_t>(ip) * kc * detail::kMR;
-      const int ibase = i0 + ip * detail::kMR;
-      const int rows = std::min(detail::kMR, i0 + mh - ibase);
+      float* panel = dst + static_cast<std::size_t>(ip) * kc * kMR;
+      const int ibase = i0 + ip * kMR;
+      const int rows = std::min(kMR, i0 + mh - ibase);
       for (int kk = 0; kk < kc; ++kk) {
         const float* src = pa + static_cast<std::size_t>(k0 + kk) * m + ibase;
-        float* out = panel + static_cast<std::size_t>(kk) * detail::kMR;
+        float* out = panel + static_cast<std::size_t>(kk) * kMR;
         for (int r = 0; r < rows; ++r) out[r] = src[r];
-        for (int r = rows; r < detail::kMR; ++r) out[r] = 0.0f;
+        for (int r = rows; r < kMR; ++r) out[r] = 0.0f;
       }
     }
   };
   const auto pack_b = [pb, n](float* dst, int k0, int kc, int j0, int nw) {
-    detail::pack_b_rowmajor(dst, pb, n, k0, kc, j0, nw);
+    pack_b_rowmajor(dst, pb, n, k0, kc, j0, nw);
   };
-  detail::packed_gemm(m, n, k, pack_a, pack_b, RowMajorStore{pc, n, accumulate}, pool);
+  packed_gemm(m, n, k, pack_a, pack_b, RowMajorStore{pc, n, accumulate}, pool);
 }
 
-}  // namespace
+}  // namespace detail
 
 void gemm(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool& pool, bool accumulate) {
   const int m = a.rank() == 2 ? a.dim(0) : 0, k = a.rank() == 2 ? a.dim(1) : 0,
@@ -143,8 +143,8 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool& pool, bool ac
   check_gemm_shapes(a, b, c, m, k, n, "gemm");
   DNNPERF_TRACE_SPAN_VAR(span, "ref", "gemm");
   annotate_gemm_span(span, m, k, n);
-  GemmMetricsScope metrics_scope(m, k, n);
-  gemm_packed(a.data(), b.data(), c.data(), m, k, n, accumulate, pool);
+  detail::GemmMetricsScope metrics_scope(m, k, n);
+  detail::gemm_packed(a.data(), b.data(), c.data(), m, k, n, accumulate, pool);
 }
 
 void gemm_at(const Tensor& a_t, const Tensor& b, Tensor& c, ThreadPool& pool, bool accumulate) {
@@ -153,78 +153,47 @@ void gemm_at(const Tensor& a_t, const Tensor& b, Tensor& c, ThreadPool& pool, bo
   check_gemm_shapes(a_t, b, c, m, k, n, "gemm_at");
   DNNPERF_TRACE_SPAN_VAR(span, "ref", "gemm_at");
   annotate_gemm_span(span, m, k, n);
-  GemmMetricsScope metrics_scope(m, k, n);
-  gemm_at_packed(a_t.data(), b.data(), c.data(), m, k, n, accumulate, pool);
+  detail::GemmMetricsScope metrics_scope(m, k, n);
+  detail::gemm_at_packed(a_t.data(), b.data(), c.data(), m, k, n, accumulate, pool);
 }
 
-Tensor im2col(const Tensor& x, int kh, int kw, int stride, int pad, ThreadPool& pool) {
-  if (x.rank() != 4) throw std::invalid_argument("im2col: rank-4 input only");
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+void im2col_image(const float* x, int c, int h, int w, int kh, int kw, int stride, int pad,
+                  float* cols) {
   const int oh = out_dim(h, kh, stride, pad);
   const int ow = out_dim(w, kw, stride, pad);
-  DNNPERF_TRACE_SPAN_VAR(span, "ref", "im2col");
-  if (span.active())
-    span.set_args(std::move(util::trace::Args().add("rows", n * oh * ow).add("cols", c * kh * kw))
-                      .str());
-  Tensor cols({n * oh * ow, c * kh * kw});
-  float* pc = cols.data();
-  const std::size_t row_len = static_cast<std::size_t>(c) * kh * kw;
-
-  pool.parallel_for(static_cast<std::size_t>(n) * oh * ow, /*min_grain=*/16,
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t idx = begin; idx < end; ++idx) {
-                        const int ni = static_cast<int>(idx / (static_cast<std::size_t>(oh) * ow));
-                        const int rem = static_cast<int>(idx % (static_cast<std::size_t>(oh) * ow));
-                        const int oy = rem / ow;
-                        const int ox = rem % ow;
-                        float* row = pc + idx * row_len;
-                        std::size_t col = 0;
-                        for (int ci = 0; ci < c; ++ci)
-                          for (int ky = 0; ky < kh; ++ky) {
-                            const int iy = oy * stride + ky - pad;
-                            for (int kx = 0; kx < kw; ++kx, ++col) {
-                              const int ix = ox * stride + kx - pad;
-                              row[col] = (iy < 0 || iy >= h || ix < 0 || ix >= w)
-                                             ? 0.0f
-                                             : x.at4(ni, ci, iy, ix);
-                            }
-                          }
-                      }
-                    });
-  return cols;
-}
-
-Tensor col2im(const Tensor& cols, int n, int c, int h, int w, int kh, int kw, int stride,
-              int pad, ThreadPool& pool) {
-  const int oh = out_dim(h, kh, stride, pad);
-  const int ow = out_dim(w, kw, stride, pad);
-  if (cols.rank() != 2 || cols.dim(0) != n * oh * ow || cols.dim(1) != c * kh * kw)
-    throw std::invalid_argument("col2im: column shape mismatch");
-  Tensor x = Tensor::zeros({n, c, h, w});
-  const float* pc = cols.data();
-  const std::size_t row_len = static_cast<std::size_t>(c) * kh * kw;
-
-  // Parallel over images: rows of one image only touch that image's plane.
-  pool.parallel_for(static_cast<std::size_t>(n), [&](std::size_t nb, std::size_t ne) {
-    for (std::size_t ni = nb; ni < ne; ++ni) {
-      for (int oy = 0; oy < oh; ++oy)
-        for (int ox = 0; ox < ow; ++ox) {
-          const std::size_t idx = (ni * oh + oy) * ow + ox;
-          const float* row = pc + idx * row_len;
-          std::size_t col = 0;
-          for (int ci = 0; ci < c; ++ci)
-            for (int ky = 0; ky < kh; ++ky) {
-              const int iy = oy * stride + ky - pad;
-              for (int kx = 0; kx < kw; ++kx, ++col) {
-                const int ix = ox * stride + kx - pad;
-                if (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                  x.at4(static_cast<int>(ni), ci, iy, ix) += row[col];
-              }
-            }
+  for (int oy = 0; oy < oh; ++oy)
+    for (int ox = 0; ox < ow; ++ox)
+      for (int ci = 0; ci < c; ++ci)
+        for (int ky = 0; ky < kh; ++ky, cols += kw) {
+          const int iy = oy * stride + ky - pad;
+          if (iy < 0 || iy >= h) {
+            std::fill(cols, cols + kw, 0.0f);
+            continue;
+          }
+          const float* xrow = x + (static_cast<std::size_t>(ci) * h + iy) * w;
+          for (int kx = 0; kx < kw; ++kx) {
+            const int ix = ox * stride + kx - pad;
+            cols[kx] = ix >= 0 && ix < w ? xrow[ix] : 0.0f;
+          }
         }
-    }
-  });
-  return x;
+}
+
+void col2im_image(const float* cols, int c, int h, int w, int kh, int kw, int stride, int pad,
+                  float* x) {
+  const int oh = out_dim(h, kh, stride, pad);
+  const int ow = out_dim(w, kw, stride, pad);
+  for (int oy = 0; oy < oh; ++oy)
+    for (int ox = 0; ox < ow; ++ox)
+      for (int ci = 0; ci < c; ++ci)
+        for (int ky = 0; ky < kh; ++ky, cols += kw) {
+          const int iy = oy * stride + ky - pad;
+          if (iy < 0 || iy >= h) continue;
+          float* xrow = x + (static_cast<std::size_t>(ci) * h + iy) * w;
+          for (int kx = 0; kx < kw; ++kx) {
+            const int ix = ox * stride + kx - pad;
+            if (ix >= 0 && ix < w) xrow[ix] += cols[kx];
+          }
+        }
 }
 
 }  // namespace dnnperf::ref

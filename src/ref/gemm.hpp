@@ -1,7 +1,9 @@
-// Single-precision GEMM and the im2col/col2im transforms — the standard
-// lowering that turns convolution into matrix multiplication (what MKL-DNN
-// and cuDNN-era frameworks actually execute, and the reason GEMM efficiency
-// dominates the paper's kernel-efficiency calibration).
+// Single-precision GEMM and the per-image im2col/col2im transforms — the
+// standard lowering that turns convolution into matrix multiplication (what
+// MKL-DNN and cuDNN-era frameworks actually execute, and the reason GEMM
+// efficiency dominates the paper's kernel-efficiency calibration). The
+// transforms work on one image at a time: the conv backward pass lowers each
+// image into a per-thread [OH*OW, C*KH*KW] buffer, never a batch-sized one.
 //
 // The GEMM is BLIS-style: packed panels + a register-tiled microkernel (see
 // ref/gemm_packed.hpp), parallel over the MC x NC macro-tile grid. Tests
@@ -23,13 +25,17 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool& pool,
 void gemm_at(const Tensor& a_t, const Tensor& b, Tensor& c, ThreadPool& pool,
              bool accumulate = false);
 
-/// im2col: x [N,C,H,W] -> columns [N*OH*OW, C*KH*KW] for a kh x kw kernel
-/// with the given stride/pad. Out-of-bounds taps produce zeros.
-Tensor im2col(const Tensor& x, int kh, int kw, int stride, int pad, ThreadPool& pool);
+/// im2col of one image: x [C,H,W] -> cols [OH*OW, C*KH*KW] (row-major, one
+/// row per output position, columns in (channel, ky, kx) order) for a
+/// kh x kw kernel with the given stride/pad. Out-of-bounds taps produce
+/// zeros. `cols` must hold OH*OW*C*KH*KW floats.
+void im2col_image(const float* x, int c, int h, int w, int kh, int kw, int stride, int pad,
+                  float* cols);
 
-/// col2im: scatter-add the column gradient back to input layout (inverse of
-/// im2col for backward).
-Tensor col2im(const Tensor& cols, int n, int c, int h, int w, int kh, int kw, int stride,
-              int pad, ThreadPool& pool);
+/// col2im of one image, the adjoint of im2col_image: scatter-adds the
+/// column gradient cols [OH*OW, C*KH*KW] into x [C,H,W]. `x` is accumulated
+/// into, not cleared.
+void col2im_image(const float* cols, int c, int h, int w, int kh, int kw, int stride, int pad,
+                  float* x);
 
 }  // namespace dnnperf::ref

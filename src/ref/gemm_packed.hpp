@@ -20,10 +20,15 @@
 //                               whether to overwrite/initialize (fused bias
 //                               adds live here) or accumulate.
 //
+// The packing scratch is one MC x KC + KC x NC panel pair per thread
+// (thread_panels()), shared by every instantiation of packed_gemm, so a
+// thread that runs conv forward, gemm and gemm_at still owns one pair.
+//
 // Not a public API: everything lives in dnnperf::ref::detail.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <vector>
 
@@ -52,6 +57,42 @@ inline constexpr int kNR = 8;
 inline constexpr int kKC = 256;
 inline constexpr int kMC = (96 / kMR) * kMR;  // multiple of MR
 inline constexpr int kNC = (256 / kNR) * kNR;  // multiple of NR
+
+struct PanelPair {
+  std::vector<float> a;  ///< MC x KC
+  std::vector<float> b;  ///< KC x NC
+};
+
+/// The calling thread's packing panels, sized on first use. One pair per
+/// thread for the whole process: every packed_gemm instantiation (conv
+/// forward, gemm, gemm_at) packs into the same pair.
+PanelPair& thread_panels();
+
+/// C[m,n] (+)= A[m,k] * B[k,n] over raw row-major buffers. No shape checks,
+/// span or metrics: the public gemm() and the per-image conv backward add
+/// those around it.
+void gemm_packed(const float* a, const float* b, float* c, int m, int k, int n, bool accumulate,
+                 ThreadPool& pool);
+
+/// As gemm_packed, with A stored transposed ([k, m] row-major).
+void gemm_at_packed(const float* a_t, const float* b, float* c, int m, int k, int n,
+                    bool accumulate, ThreadPool& pool);
+
+/// Registry instrumentation for one executed GEMM: call/FLOP counters, a
+/// duration histogram, and a most-recent-throughput gauge. With metrics
+/// runtime-disabled the whole scope is one relaxed load and no clock read.
+class GemmMetricsScope {
+ public:
+  GemmMetricsScope(int m, int k, int n);
+  ~GemmMetricsScope();
+  GemmMetricsScope(const GemmMetricsScope&) = delete;
+  GemmMetricsScope& operator=(const GemmMetricsScope&) = delete;
+
+ private:
+  double flops_;
+  bool active_;
+  std::chrono::steady_clock::time_point start_;
+};
 
 /// acc[MR*NR] = sum_{kk<kc} a_panel[kk*MR + i] * b_panel[kk*NR + j].
 /// Overwrites acc (no read-modify-write): k-block accumulation is the
@@ -105,11 +146,8 @@ void packed_gemm(int m, int n, int k, const PackA& pack_a, const PackB& pack_b,
       std::max<std::size_t>(1, static_cast<std::size_t>(4.0e6 / cell_flops) + 1);
 
   pool.parallel_for(cells, grain, [&](std::size_t cell_begin, std::size_t cell_end) {
-    // Per-thread panel pair — the only scratch memory of the whole GEMM.
-    thread_local std::vector<float> a_panel;
-    thread_local std::vector<float> b_panel;
-    a_panel.resize(static_cast<std::size_t>(kMC) * kKC);
-    b_panel.resize(static_cast<std::size_t>(kKC) * kNC);
+    // This thread's panel pair: the only scratch memory of the whole GEMM.
+    auto& [a_panel, b_panel] = thread_panels();
 
     for (std::size_t cell = cell_begin; cell < cell_end; ++cell) {
       // n-major cell order: adjacent cells in a chunk share the B column.

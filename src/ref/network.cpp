@@ -1,6 +1,31 @@
 #include "ref/network.hpp"
 
+#include <cmath>
+#include <numbers>
+
 namespace dnnperf::ref {
+
+namespace {
+
+/// Generator seed of sample `index` of step `step`.
+std::uint64_t sample_seed(std::uint64_t seed, std::uint64_t step, std::uint64_t index) {
+  return util::mix64(util::mix64(util::mix64(seed) ^ step) ^ index);
+}
+
+/// Fills dst[0, count) with N(0,1) draws by Box-Muller, one (u1, u2) pair per
+/// two outputs: the cos and the sin branch are both used.
+void fill_normal(util::Rng& rng, float* dst, std::size_t count) {
+  for (std::size_t j = 0; j < count; j += 2) {
+    double u1 = rng.next_double();
+    while (u1 <= 0.0) u1 = rng.next_double();  // guard against log(0)
+    const double mag = std::sqrt(-2.0 * std::log(u1));
+    const double theta = 2.0 * std::numbers::pi * rng.next_double();
+    dst[j] = static_cast<float>(mag * std::cos(theta));
+    if (j + 1 < count) dst[j + 1] = static_cast<float>(mag * std::sin(theta));
+  }
+}
+
+}  // namespace
 
 Tensor Network::forward(const Tensor& x) {
   Tensor cur = x;
@@ -55,12 +80,18 @@ Network make_tiny_cnn(int in_c, int size, int classes, ThreadPool& pool, util::R
   return net;
 }
 
-SyntheticBatch synthetic_batch(int n, int c, int size, int classes, util::Rng& rng) {
-  SyntheticBatch batch{Tensor({n, c, size, size}), {}};
-  for (std::size_t i = 0; i < batch.images.size(); ++i)
-    batch.images[i] = static_cast<float>(rng.normal(0.0, 1.0));
-  batch.labels.resize(static_cast<std::size_t>(n));
-  for (auto& l : batch.labels) l = static_cast<int>(rng.uniform_int(0, classes - 1));
+SyntheticBatch synthetic_batch(std::uint64_t seed, int step, int first, int n, int c, int size,
+                               int classes, ThreadPool& pool) {
+  SyntheticBatch batch{Tensor({n, c, size, size}), std::vector<int>(static_cast<std::size_t>(n))};
+  const std::size_t per_image = static_cast<std::size_t>(c) * size * size;
+  pool.parallel_for(static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      util::Rng rng(sample_seed(seed, static_cast<std::uint64_t>(step),
+                                static_cast<std::uint64_t>(first) + i));
+      fill_normal(rng, batch.images.data() + i * per_image, per_image);
+      batch.labels[i] = static_cast<int>(rng.uniform_int(0, classes - 1));
+    }
+  });
   return batch;
 }
 

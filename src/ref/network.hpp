@@ -1,8 +1,11 @@
 // refdnn Network: a sequential container with a training step (forward,
 // softmax cross-entropy, backward) and a plain SGD optimizer — the real
-// executable counterpart of the training loop the performance model times.
+// executable counterpart of the training loop the performance model times —
+// plus its synthetic input. Each synthetic sample is generated from its own
+// counter-based seed, so a data-parallel rank builds only its own shard.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -58,11 +61,18 @@ Network make_tiny_cnn(int in_c, int size, int classes, ThreadPool& pool, util::R
                       bool batch_norm = true);
 
 /// Deterministic synthetic dataset (the pytorch_synthetic_benchmark
-/// equivalent): random images and labels.
+/// equivalent): N(0,1) images and uniform labels.
 struct SyntheticBatch {
   Tensor images;
   std::vector<int> labels;
 };
-SyntheticBatch synthetic_batch(int n, int c, int size, int classes, util::Rng& rng);
+
+/// Samples [first, first + n) of step `step`'s global batch. Sample i of
+/// step s draws its pixels and then its label from its own generator, seeded
+/// from (seed, s, i), so a rank builds its shard without generating the rest
+/// of the batch, and the bits do not depend on the rank count or the pool
+/// size. The samples are synthesized in parallel on `pool`.
+SyntheticBatch synthetic_batch(std::uint64_t seed, int step, int first, int n, int c, int size,
+                               int classes, ThreadPool& pool);
 
 }  // namespace dnnperf::ref

@@ -27,7 +27,7 @@ double since(std::chrono::steady_clock::time_point t0) {
 /// printed tables and the exported snapshots come from the same samples.
 struct TrainMetrics {
   util::metrics::Histogram input = util::metrics::histogram(
-      "train_step_input_seconds", "Batch synthesis + shard extraction per step, seconds");
+      "train_step_input_seconds", "Synthesis of this rank's shard per step, seconds");
   util::metrics::Histogram forward = util::metrics::histogram(
       "train_step_forward_seconds", "Forward pass + loss per step, seconds");
   util::metrics::Histogram backward = util::metrics::histogram(
@@ -81,21 +81,6 @@ void check(const RealTrainConfig& cfg) {
   cfg.policy.validate();
 }
 
-/// Copies one rank's shard [rank*bpr, (rank+1)*bpr) out of the global batch.
-ref::SyntheticBatch shard_of(const ref::SyntheticBatch& global, int rank, int bpr) {
-  const int c = global.images.dim(1);
-  const int h = global.images.dim(2);
-  const int w = global.images.dim(3);
-  ref::SyntheticBatch shard{ref::Tensor({bpr, c, h, w}), {}};
-  const std::size_t per_image = static_cast<std::size_t>(c) * h * w;
-  const std::size_t offset = static_cast<std::size_t>(rank) * bpr * per_image;
-  for (std::size_t i = 0; i < shard.images.size(); ++i)
-    shard.images[i] = global.images[offset + i];
-  shard.labels.assign(global.labels.begin() + static_cast<std::ptrdiff_t>(rank) * bpr,
-                      global.labels.begin() + static_cast<std::ptrdiff_t>(rank + 1) * bpr);
-  return shard;
-}
-
 std::vector<float> flatten_params(ref::Network& net) {
   std::vector<float> out;
   for (const auto& p : net.params())
@@ -129,7 +114,6 @@ RealTrainResult run_real_training(const RealTrainConfig& cfg) {
     }
 
     ref::SgdOptimizer sgd(cfg.learning_rate);
-    util::Rng data_rng(cfg.seed + 1);  // same global data stream on every rank
     std::vector<float> losses;
     PhaseTimes phases;
     const TrainMetrics& tm = train_metrics();
@@ -139,13 +123,13 @@ RealTrainResult run_real_training(const RealTrainConfig& cfg) {
       Phase step_phase("step", phases.step);
       if (step_phase.span.active())
         step_phase.span.set_args(std::move(util::trace::Args().add("step", step)).str());
+      // This rank's shard of the step's global batch, and nothing else.
       ref::SyntheticBatch shard;
       {
         Phase phase("input", phases.input, tm.input);
-        auto global = ref::synthetic_batch(global_batch, cfg.channels, cfg.image_size,
-                                           cfg.classes, data_rng);
-        shard = cfg.ranks == 1 ? std::move(global)
-                               : shard_of(global, comm.rank(), cfg.batch_per_rank);
+        shard = ref::synthetic_batch(cfg.seed + 1, step, comm.rank() * cfg.batch_per_rank,
+                                     cfg.batch_per_rank, cfg.channels, cfg.image_size,
+                                     cfg.classes, pool);
       }
 
       // The train_step of ref::Network, phase by phase so each can be timed.

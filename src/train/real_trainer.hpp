@@ -40,7 +40,7 @@ struct RealTrainConfig {
 /// Each sample is the one clock reading that also feeds the phase's trace
 /// span and its `train_step_<phase>_seconds` histogram.
 struct PhaseTimes {
-  util::RunStats input;      ///< batch synthesis + shard extraction
+  util::RunStats input;      ///< synthesis of this rank's shard only
   util::RunStats forward;    ///< forward pass + loss/gradient at the head
   util::RunStats backward;   ///< backpropagation through all layers
   util::RunStats exchange;   ///< submit + engine synchronize + loss allreduce; empty at 1 rank

@@ -9,6 +9,11 @@
 
 namespace dnnperf::util {
 
+/// The output of one SplitMix64 step from state `x`: a bijective 64-bit mix.
+/// Folding counters through it derives unrelated seeds, e.g. one per
+/// (step, sample).
+std::uint64_t mix64(std::uint64_t x);
+
 /// xoshiro256** generator with SplitMix64 seeding. Satisfies
 /// UniformRandomBitGenerator so it can drive <random> distributions too.
 class Rng {

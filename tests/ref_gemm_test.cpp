@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "ref/conv_fast.hpp"
 #include "ref/gemm.hpp"
@@ -135,15 +140,26 @@ TEST(Gemm, RejectsBadShapes) {
   EXPECT_THROW(gemm(a, b2, c2, pool), std::invalid_argument);
 }
 
+/// col2im_image(im2col_image(x_i)) for every image i of x [N,C,H,W].
+Tensor im2col_round_trip(const Tensor& x, int kh, int kw, int stride, int pad) {
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int oh = (h + 2 * pad - kh) / stride + 1, ow = (w + 2 * pad - kw) / stride + 1;
+  const std::size_t image = static_cast<std::size_t>(c) * h * w;
+  std::vector<float> cols(static_cast<std::size_t>(oh) * ow * c * kh * kw);
+  Tensor back = Tensor::zeros(x.shape());
+  for (int i = 0; i < n; ++i) {
+    im2col_image(x.data() + i * image, c, h, w, kh, kw, stride, pad, cols.data());
+    col2im_image(cols.data(), c, h, w, kh, kw, stride, pad, back.data() + i * image);
+  }
+  return back;
+}
+
 TEST(Im2col, RoundTripThroughCol2im) {
   // col2im(im2col(x)) multiplies each input element by the number of
   // windows covering it; with a 1x1 kernel and stride 1 that count is 1.
   util::Rng rng(34);
   const Tensor x = Tensor::randn({2, 3, 5, 5}, rng);
-  ThreadPool pool(2);
-  const Tensor cols = im2col(x, 1, 1, 1, 0, pool);
-  const Tensor back = col2im(cols, 2, 3, 5, 5, 1, 1, 1, 0, pool);
-  EXPECT_LT(max_abs_diff(x, back), 1e-6f);
+  EXPECT_LT(max_abs_diff(x, im2col_round_trip(x, 1, 1, 1, 0)), 1e-6f);
 }
 
 // With stride/pad the round trip is not the identity: each input element is
@@ -160,11 +176,8 @@ TEST_P(Im2colRoundTrip, CoverCountIdentity) {
   const Tensor x = Tensor::randn({n, c, h, w}, rng);
   Tensor ones({n, c, h, w});
   ones.fill(1.0f);
-  ThreadPool pool(2);
-  const Tensor back =
-      col2im(im2col(x, kh, kw, stride, pad, pool), n, c, h, w, kh, kw, stride, pad, pool);
-  const Tensor cover =
-      col2im(im2col(ones, kh, kw, stride, pad, pool), n, c, h, w, kh, kw, stride, pad, pool);
+  const Tensor back = im2col_round_trip(x, kh, kw, stride, pad);
+  const Tensor cover = im2col_round_trip(ones, kh, kw, stride, pad);
   Tensor expected({n, c, h, w});
   for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = x[i] * cover[i];
   EXPECT_LT(max_abs_diff(back, expected), 1e-4f);
@@ -176,17 +189,11 @@ INSTANTIATE_TEST_SUITE_P(StridesPads, Im2colRoundTrip,
                                            ColsCase{1, 3, 2, 1}));
 
 TEST(Im2col, ColumnLayout) {
-  // A 2x2 input with a 2x2 kernel, no pad: exactly one output position whose
-  // column is the flattened input.
-  Tensor x({1, 1, 2, 2});
-  x[0] = 1;
-  x[1] = 2;
-  x[2] = 3;
-  x[3] = 4;
-  ThreadPool pool(1);
-  const Tensor cols = im2col(x, 2, 2, 1, 0, pool);
-  ASSERT_EQ(cols.dim(0), 1);
-  ASSERT_EQ(cols.dim(1), 4);
+  // A 2x2 image with a 2x2 kernel, no pad: exactly one output position
+  // whose column is the flattened image.
+  const float x[] = {1, 2, 3, 4};
+  float cols[4] = {};
+  im2col_image(x, 1, 2, 2, 2, 2, 1, 0, cols);
   EXPECT_EQ(cols[0], 1);
   EXPECT_EQ(cols[1], 2);
   EXPECT_EQ(cols[2], 3);
@@ -244,6 +251,75 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(5, 8), ::testing::Values(1, 8),
                        ::testing::Values(1, 2), ::testing::Values(0, 1),
                        ::testing::Values(Pool::serial, Pool::threaded)));
+
+// The per-image backward against the direct oracle, on a serial and a
+// 3-thread pool: one image (its GEMMs get the whole pool), an odd batch that
+// splits unevenly over the workers, and a strided unpadded window.
+struct BwdCase {
+  int n, c, hw, oc, stride, pad;
+};
+constexpr BwdCase kBwdCases[] = {
+    {1, 4, 16, 128, 1, 1},
+    {13, 3, 8, 5, 1, 1},
+    {4, 3, 9, 6, 2, 0},
+};
+
+struct BwdResult {
+  Tensor dx, dw, db;
+};
+
+/// The gradients of one case, by conv2d_backward_gemm or (`direct`) by the
+/// direct conv2d_backward oracle.
+BwdResult conv_backward_case(const BwdCase& cs, int threads, bool direct) {
+  util::Rng rng(41);
+  const Tensor x = Tensor::randn({cs.n, cs.c, cs.hw, cs.hw}, rng);
+  const Tensor w = Tensor::randn({cs.oc, cs.c, 3, 3}, rng, 0.3f);
+  const int out = (cs.hw + 2 * cs.pad - 3) / cs.stride + 1;
+  const Tensor dy = Tensor::randn({cs.n, cs.oc, out, out}, rng);
+  ThreadPool pool(threads);
+  const ConvSpec spec{cs.stride, cs.pad};
+  BwdResult r;
+  if (direct)
+    conv2d_backward(x, w, dy, spec, r.dx, r.dw, r.db, pool);
+  else
+    conv2d_backward_gemm(x, w, dy, spec, r.dx, r.dw, r.db, pool);
+  return r;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) && std::equal(a.flat().begin(), a.flat().end(), b.flat().begin(),
+                                       [](float p, float q) {
+                                         return std::bit_cast<std::uint32_t>(p) ==
+                                                std::bit_cast<std::uint32_t>(q);
+                                       });
+}
+
+TEST(ConvGemm, PerImageBackwardMatchesDirectOracle) {
+  for (const BwdCase& cs : kBwdCases) {
+    const BwdResult oracle = conv_backward_case(cs, 1, /*direct=*/true);
+    for (int threads : {1, 3}) {
+      SCOPED_TRACE("n=" + std::to_string(cs.n) + " stride=" + std::to_string(cs.stride) +
+                   " threads=" + std::to_string(threads));
+      const BwdResult got = conv_backward_case(cs, threads, /*direct=*/false);
+      EXPECT_LT(max_abs_diff(oracle.dx, got.dx), 1e-4f);
+      EXPECT_LT(max_abs_diff(oracle.dw, got.dw), 1e-4f);
+      EXPECT_LT(max_abs_diff(oracle.db, got.db), 1e-4f);
+    }
+  }
+}
+
+// Per-image dW/db are summed in image order, so the gradients must be the
+// same bits whether the images ran on one thread or were spread over three.
+TEST(ConvGemm, BackwardBitsIndependentOfThreadCount) {
+  for (const BwdCase& cs : kBwdCases) {
+    SCOPED_TRACE("n=" + std::to_string(cs.n) + " stride=" + std::to_string(cs.stride));
+    const BwdResult one = conv_backward_case(cs, 1, /*direct=*/false);
+    const BwdResult three = conv_backward_case(cs, 3, /*direct=*/false);
+    EXPECT_TRUE(same_bits(one.dx, three.dx));
+    EXPECT_TRUE(same_bits(one.dw, three.dw));
+    EXPECT_TRUE(same_bits(one.db, three.db));
+  }
+}
 
 // Larger-than-one-macro-tile conv: N*OH*OW = 2*16*16 = 512 rows > MC and
 // oc = 24 exercises a ragged N edge of the implicit path.

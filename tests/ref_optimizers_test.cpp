@@ -85,8 +85,7 @@ TEST(Optimizers, TrainTinyCnnWithMomentumAndAdam) {
     ThreadPool pool(2);
     util::Rng rng(21);
     Network net = make_tiny_cnn(3, 8, 4, pool, rng);
-    util::Rng data_rng(22);
-    const auto batch = synthetic_batch(8, 3, 8, 4, data_rng);
+    const auto batch = synthetic_batch(22, 0, 0, 8, 3, 8, 4, pool);
     MomentumSgd momentum(0.05f, 0.9f);
     Adam adam(0.01f);
     const float first = net.train_step(batch.images, batch.labels);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <mutex>
+#include <string>
 
 #include "ref/kernels.hpp"
 #include "ref/network.hpp"
@@ -327,8 +330,7 @@ TEST(Network, TrainingReducesLoss) {
   util::Rng rng(11);
   Network net = make_tiny_cnn(3, 8, 4, pool, rng);
   SgdOptimizer sgd(0.1f);
-  util::Rng data_rng(12);
-  const auto batch = synthetic_batch(8, 3, 8, 4, data_rng);
+  const auto batch = synthetic_batch(12, 0, 0, 8, 3, 8, 4, pool);
 
   const float first = net.train_step(batch.images, batch.labels);
   sgd.step(net.params());
@@ -338,6 +340,48 @@ TEST(Network, TrainingReducesLoss) {
     sgd.step(net.params());
   }
   EXPECT_LT(last, first * 0.8f) << "loss did not decrease on a fixed batch";
+}
+
+TEST(Network, SyntheticShardsConcatenateToGlobalBatch) {
+  // Sample i of step s depends only on (seed, s, i): R shards of b samples,
+  // concatenated, are the global batch bit for bit, on any pool size.
+  constexpr int kRanks = 3, kPer = 5, kC = 3, kSize = 6, kClasses = 7;
+  const std::size_t shard_floats = static_cast<std::size_t>(kPer) * kC * kSize * kSize;
+  ThreadPool serial(1);
+  const auto global = synthetic_batch(99, 4, 0, kRanks * kPer, kC, kSize, kClasses, serial);
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    for (int r = 0; r < kRanks; ++r) {
+      const auto shard = synthetic_batch(99, 4, r * kPer, kPer, kC, kSize, kClasses, pool);
+      EXPECT_EQ(std::memcmp(shard.images.data(), global.images.data() + r * shard_floats,
+                            shard_floats * sizeof(float)),
+                0)
+          << "shard " << r;
+      EXPECT_TRUE(std::equal(shard.labels.begin(), shard.labels.end(),
+                             global.labels.begin() + r * kPer))
+          << "shard " << r;
+    }
+  }
+
+  // Different steps draw different data; all of it N(0,1) pixels and
+  // in-range labels.
+  const auto next = synthetic_batch(99, 5, 0, kRanks * kPer, kC, kSize, kClasses, serial);
+  EXPECT_NE(std::memcmp(next.images.data(), global.images.data(),
+                        global.images.size() * sizeof(float)),
+            0);
+  double sum = 0.0, sq = 0.0;
+  for (const float v : global.images.flat()) {
+    sum += v;
+    sq += static_cast<double>(v) * v;
+  }
+  const double count = static_cast<double>(global.images.size());
+  EXPECT_NEAR(sum / count, 0.0, 0.1);
+  EXPECT_NEAR(sq / count, 1.0, 0.15);
+  for (const int label : global.labels) {
+    EXPECT_GE(label, 0);
+    EXPECT_LT(label, kClasses);
+  }
 }
 
 TEST(Network, ParamCountsAndNames) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "hw/platforms.hpp"
@@ -302,6 +303,25 @@ RealTrainConfig compute_shape() {  // the bench suite's train_compute config
   return cfg;
 }
 
+TEST(RealTrainer, ThreadCountDoesNotChangeBits) {
+  // No kernel's sums depend on how its work was split over intra-op
+  // threads, so the thread count must not move a single parameter bit.
+  for (int ranks : {1, 2}) {
+    std::uint64_t first_hash = 0;
+    for (int threads : {1, 2, 3}) {
+      SCOPED_TRACE("ranks=" + std::to_string(ranks) + " threads=" + std::to_string(threads));
+      RealTrainConfig cfg = compute_shape();
+      cfg.ranks = ranks;
+      cfg.threads_per_rank = threads;
+      const std::uint64_t hash = param_bits_hash(run_real_training(cfg).final_params);
+      if (threads == 1)
+        first_hash = hash;
+      else
+        EXPECT_EQ(hash, first_hash);
+    }
+  }
+}
+
 TEST(RealTrainer, GoldenLossesAndParametersAreBitExact) {
   // Exact losses and a hash of the exact final parameters, SP and 2-rank MP,
   // on the default and the train_compute shapes: refactors of the training
@@ -309,25 +329,25 @@ TEST(RealTrainer, GoldenLossesAndParametersAreBitExact) {
   // GEMM microkernel, so the AVX2/FMA build has its own table.
 #if defined(__AVX2__) && defined(__FMA__)
   const GoldenRun runs[] = {
-      {"default MP", false, RealTrainConfig{}, {0x1.49876cp+2f, 0x1.70623p+0f, 0x1.4f45c4p+0f},
-       0xe09ac6ab09505cfdull},
-      {"default SP", true, RealTrainConfig{}, {0x1.49876cp+2f, 0x1.70622ep+0f, 0x1.4f45c4p+0f},
-       0x7d8623419e5939eeull},
-      {"compute MP", false, compute_shape(), {0x1.8a5134p+2f, 0x1.f36cf6p+0f},
-       0x8929e457dc8dea26ull},
-      {"compute SP", true, compute_shape(), {0x1.8a5138p+2f, 0x1.f36cfcp+0f},
-       0x9f6ebaa7af813a64ull},
+      {"default MP", false, RealTrainConfig{}, {0x1.c12428p+1f, 0x1.ad47fp+0f, 0x1.59ab02p+0f},
+       0xb809a8218f6eadb9ull},
+      {"default SP", true, RealTrainConfig{}, {0x1.c12428p+1f, 0x1.ad47fp+0f, 0x1.59ab02p+0f},
+       0x1a6b666e498b2f37ull},
+      {"compute MP", false, compute_shape(), {0x1.adf3ccp+2f, 0x1.ebb252p+0f},
+       0x18c254461c1a6912ull},
+      {"compute SP", true, compute_shape(), {0x1.adf3ccp+2f, 0x1.ebb254p+0f},
+       0x95c77af901b809c3ull},
   };
 #else
   const GoldenRun runs[] = {
-      {"default MP", false, RealTrainConfig{}, {0x1.49876cp+2f, 0x1.70623p+0f, 0x1.4f45c4p+0f},
-       0xf668997853bc82adull},
-      {"default SP", true, RealTrainConfig{}, {0x1.49876ap+2f, 0x1.70622ep+0f, 0x1.4f45c2p+0f},
-       0xa16d8c6820cdd111ull},
-      {"compute MP", false, compute_shape(), {0x1.8a5136p+2f, 0x1.f36cf4p+0f},
-       0x80f7288f4edc523cull},
-      {"compute SP", true, compute_shape(), {0x1.8a5138p+2f, 0x1.f36cfcp+0f},
-       0xcd0669e4e91553eeull},
+      {"default MP", false, RealTrainConfig{}, {0x1.c1242cp+1f, 0x1.ad47fp+0f, 0x1.59ab02p+0f},
+       0x6ff97c8137b55eb3ull},
+      {"default SP", true, RealTrainConfig{}, {0x1.c1242cp+1f, 0x1.ad47ecp+0f, 0x1.59ab02p+0f},
+       0x22dda8134c0a00d9ull},
+      {"compute MP", false, compute_shape(), {0x1.adf3ccp+2f, 0x1.ebb25p+0f},
+       0xe9c9af7b57f74211ull},
+      {"compute SP", true, compute_shape(), {0x1.adf3ccp+2f, 0x1.ebb254p+0f},
+       0x1f61b7bc59edd4c1ull},
   };
 #endif
   for (const auto& g : runs) {
