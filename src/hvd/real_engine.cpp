@@ -25,13 +25,11 @@ RealEngine::RealEngine(mpi::Comm& comm, FusionPolicy policy, int ranks_per_node)
 }
 
 void RealEngine::exchange(std::span<float> buffer) {
-  if (!node_comm_) {
+  if (node_comm_)
+    mpi::allreduce_hierarchical(*node_comm_, leader_comm_ ? &*leader_comm_ : nullptr, buffer,
+                                mpi::ReduceOp::Sum);
+  else
     mpi::allreduce(comm_, buffer, mpi::ReduceOp::Sum);
-    return;
-  }
-  mpi::reduce(*node_comm_, buffer, mpi::ReduceOp::Sum, 0);
-  if (leader_comm_) mpi::allreduce(*leader_comm_, buffer, mpi::ReduceOp::Sum);
-  mpi::bcast(*node_comm_, buffer, 0);
 }
 
 int RealEngine::register_tensor(const std::string& name, std::size_t elements) {
@@ -58,58 +56,65 @@ void RealEngine::submit(int tensor_id, std::span<float> data) {
   counters_.on_framework_request();
 }
 
-int RealEngine::process() {
-  started_ = true;
+void RealEngine::negotiate() {
+  if (!started_) {
+    started_ = true;
+    for (const Tensor& t : tensors_) elements_.push_back(t.elements);
+    counts_.resize(tensors_.size());
+  }
+  for (std::size_t i = 0; i < tensors_.size(); ++i)
+    counts_[i] = (tensors_[i].submitted && !tensors_[i].complete) ? 1 : 0;
+  DNNPERF_TRACE_SPAN_VAR(span, "hvd", "negotiate");
+  if (span.active())
+    span.set_args(
+        std::move(util::trace::Args().add("tensors", static_cast<std::int64_t>(counts_.size())))
+            .str());
+  if (!counts_.empty())
+    mpi::allreduce(comm_, std::span<std::int32_t>(counts_), mpi::ReduceOp::Sum);
+}
+
+std::optional<int> RealEngine::cycle(bool may_idle) {
   DNNPERF_TRACE_SPAN_VAR(cycle_span, "hvd", "engine.cycle");
   const bool timing = util::metrics::enabled();
   const auto cycle_start = timing ? std::chrono::steady_clock::now()
                                   : std::chrono::steady_clock::time_point{};
 
   // Coordination: a tensor proceeds only when ready on every rank.
-  std::vector<std::int32_t> ready(tensors_.size());
-  for (std::size_t i = 0; i < tensors_.size(); ++i)
-    ready[i] = (tensors_[i].submitted && !tensors_[i].complete) ? 1 : 0;
-  counters_.on_engine_wakeup();
-  {
-    DNNPERF_TRACE_SPAN_VAR(span, "hvd", "negotiate");
-    if (span.active())
-      span.set_args(std::move(util::trace::Args().add(
-                                  "tensors", static_cast<std::int64_t>(tensors_.size())))
-                        .str());
-    if (!ready.empty())
-      mpi::allreduce(comm_, std::span<std::int32_t>(ready), mpi::ReduceOp::Min);
+  negotiate();
+  if (may_idle &&
+      std::all_of(counts_.begin(), counts_.end(), [](std::int32_t c) { return c == 0; })) {
+    cycle_span.discard();
+    return std::nullopt;
   }
+  counters_.on_engine_wakeup();
 
   // Fuse globally-ready tensors in id order into buffers of at most
   // fusion_threshold bytes, one data allreduce per buffer. The packing rule
   // lives in hvd/protocol.hpp so the model checker verifies the same plan
   // this engine executes.
+  ready_ids_.clear();
+  for (std::size_t t = 0; t < counts_.size(); ++t)
+    if (counts_[t] == comm_.size()) ready_ids_.push_back(static_cast<int>(t));
   int completed = 0;
-  std::vector<int> ready_ids;
-  std::vector<std::size_t> elements(tensors_.size());
-  for (std::size_t t = 0; t < tensors_.size(); ++t) {
-    elements[t] = tensors_[t].elements;
-    if (ready[t]) ready_ids.push_back(static_cast<int>(t));
-  }
   const auto max_elems = static_cast<std::size_t>(policy_.fusion_threshold_bytes / sizeof(float));
-  for (const auto& group : plan_fusion(ready_ids, elements, max_elems)) {
-    std::vector<std::size_t> members(group.begin(), group.end());
+  for (const auto& group : plan_fusion(ready_ids_, elements_, max_elems)) {
     std::size_t buffer_elems = 0;
-    for (std::size_t m : members) buffer_elems += tensors_[m].elements;
+    for (int m : group) buffer_elems += elements_[static_cast<std::size_t>(m)];
 
     fusion_buffer_.resize(buffer_elems);
     {
       DNNPERF_TRACE_SPAN_VAR(span, "hvd", "fusion.pack");
       if (span.active())
         span.set_args(std::move(util::trace::Args()
-                                    .add("tensors", static_cast<std::int64_t>(members.size()))
+                                    .add("tensors", static_cast<std::int64_t>(group.size()))
                                     .add("bytes", static_cast<std::int64_t>(buffer_elems *
                                                                            sizeof(float))))
                           .str());
       std::size_t off = 0;
-      for (std::size_t m : members) {
-        std::copy(tensors_[m].data.begin(), tensors_[m].data.end(), fusion_buffer_.begin() + off);
-        off += tensors_[m].elements;
+      for (int m : group) {
+        const auto& t = tensors_[static_cast<std::size_t>(m)];
+        std::copy(t.data.begin(), t.data.end(), fusion_buffer_.begin() + off);
+        off += t.elements;
       }
     }
 
@@ -117,7 +122,7 @@ int RealEngine::process() {
       DNNPERF_TRACE_SPAN_VAR(span, "hvd", "allreduce.data");
       if (span.active())
         span.set_args(std::move(util::trace::Args()
-                                    .add("tensors", static_cast<std::int64_t>(members.size()))
+                                    .add("tensors", static_cast<std::int64_t>(group.size()))
                                     .add("bytes", static_cast<std::int64_t>(buffer_elems *
                                                                            sizeof(float))))
                           .str());
@@ -131,8 +136,8 @@ int RealEngine::process() {
       DNNPERF_TRACE_SPAN_VAR(span, "hvd", "fusion.unpack");
       const float inv = 1.0f / static_cast<float>(comm_.size());
       std::size_t off = 0;
-      for (std::size_t m : members) {
-        auto& t = tensors_[m];
+      for (int m : group) {
+        auto& t = tensors_[static_cast<std::size_t>(m)];
         for (std::size_t k = 0; k < t.elements; ++k) t.data[k] = fusion_buffer_[off + k] * inv;
         off += t.elements;
         t.complete = true;
@@ -149,19 +154,15 @@ int RealEngine::process() {
   return completed;
 }
 
+int RealEngine::process() { return *cycle(false); }
+
 void RealEngine::synchronize() {
-  auto outstanding = [this] {
-    return std::any_of(tensors_.begin(), tensors_.end(),
-                       [](const Tensor& t) { return t.submitted && !t.complete; });
-  };
-  // All ranks enter with the same submission pattern; each process() call is
-  // collective, so every rank iterates the same number of times.
-  std::int32_t more = outstanding() ? 1 : 0;
-  mpi::allreduce(comm_, std::span<std::int32_t>(&more, 1), mpi::ReduceOp::Max);
-  while (more != 0) {
-    process();
-    more = outstanding() ? 1 : 0;
-    mpi::allreduce(comm_, std::span<std::int32_t>(&more, 1), mpi::ReduceOp::Max);
+  // Every rank reads the same counts, so all take the same branches: stop
+  // when the reduce finds no work anywhere, or once no tensor is left
+  // outstanding on some ranks (0 < count < size) after a cycle.
+  const int size = comm_.size();
+  auto outstanding = [size](std::int32_t c) { return c > 0 && c < size; };
+  while (cycle(/*may_idle=*/true) && std::any_of(counts_.begin(), counts_.end(), outstanding)) {
   }
 }
 

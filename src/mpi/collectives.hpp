@@ -433,9 +433,20 @@ void reduce(Comm& comm, std::span<T> data, ReduceOp op, int root) {
 
 
 /// Two-level hierarchical allreduce, the structure MVAPICH2 uses on
-/// multi-rank nodes: reduce to each node's leader over the node
-/// communicator, allreduce among leaders, broadcast back within the node.
-/// `ranks_per_node` must divide the communicator size (block rank mapping).
+/// multi-rank nodes: reduce to each node's leader (rank 0 of `node_comm`),
+/// allreduce among leaders over `leader_comm`, broadcast back within the
+/// node. `leader_comm` is the leaders' communicator on node leaders and
+/// null everywhere else.
+template <typename T>
+void allreduce_hierarchical(Comm& node_comm, Comm* leader_comm, std::span<T> data,
+                            ReduceOp op) {
+  reduce(node_comm, data, op, 0);
+  if (leader_comm != nullptr) allreduce(*leader_comm, data, op);
+  bcast(node_comm, data, 0);
+}
+
+/// The same over `comm`, split into contiguous nodes of `ranks_per_node`
+/// ranks (block rank mapping); `ranks_per_node` must divide the size.
 template <typename T>
 void allreduce_hierarchical(Comm& comm, std::span<T> data, ReduceOp op, int ranks_per_node) {
   const int p = comm.size();
@@ -451,10 +462,7 @@ void allreduce_hierarchical(Comm& comm, std::span<T> data, ReduceOp op, int rank
 
   auto node_comm = comm.split(node, comm.rank());
   auto leader_comm = comm.split(leader ? 0 : Comm::kUndefinedColor, comm.rank());
-
-  reduce(*node_comm, data, op, 0);
-  if (leader_comm) allreduce(*leader_comm, data, op);
-  bcast(*node_comm, data, 0);
+  allreduce_hierarchical(*node_comm, leader_comm ? &*leader_comm : nullptr, data, op);
 }
 
 /// Multi-level hierarchical allreduce staged as reduce-scatter down the

@@ -145,14 +145,13 @@ RealTrainResult run_real_training(const RealTrainConfig& cfg) {
         net.backward(dlogits);
       }
 
-      // Hand each gradient to the engine as backward produced it, run engine
-      // cycles until all are averaged across ranks, then sum the loss.
+      // Hand each gradient to the engine as backward produced it and run
+      // engine cycles until all are averaged across ranks.
       if (engine) {
         Phase phase("exchange", phases.exchange, tm.exchange);
         for (std::size_t i = 0; i < params.size(); ++i)
           engine->submit(tensor_ids[i], params[i].grad->flat());
         engine->synchronize();
-        mpi::allreduce(comm, std::span<float>(&loss, 1), mpi::ReduceOp::Sum);
       }
 
       {
@@ -160,8 +159,18 @@ RealTrainResult run_real_training(const RealTrainConfig& cfg) {
         sgd.step(params);
       }
       tm.images.inc(static_cast<std::uint64_t>(cfg.batch_per_rank));
-      losses.push_back(loss / static_cast<float>(cfg.ranks));
+      losses.push_back(loss);
     }
+
+    // Sum every step's loss over ranks in one allreduce, as the reference
+    // benchmarks log the loss only now and then. Recursive doubling at any
+    // length adds each element in the same order as a one-float allreduce.
+    if (engine) {
+      DNNPERF_TRACE_SPAN("train", "loss.allreduce");
+      mpi::allreduce(comm, std::span<float>(losses), mpi::ReduceOp::Sum,
+                     mpi::AllreduceAlgo::RecursiveDoubling);
+    }
+    for (float& l : losses) l /= static_cast<float>(cfg.ranks);
 
     if (comm.rank() == 0) {
       result.losses = std::move(losses);

@@ -116,6 +116,9 @@ class Span {
   /// FLOPs done during the span; the destructor derives a "gflops" arg from
   /// the measured duration (the per-kernel efficiency the paper tracks).
   void set_flops(double flops) { flops_ = flops; }
+  /// Records nothing after all: for a scope that turned out not to be the
+  /// operation its name promises.
+  void discard() { active_ = false; }
 
  private:
   bool active_;
@@ -134,6 +137,7 @@ struct NullSpan {
   constexpr bool active() const { return false; }
   void set_args(const std::string&) {}
   void set_flops(double) {}
+  void discard() {}
 };
 
 /// The span type the DNNPERF_TRACE_* macros declare, for spans held as

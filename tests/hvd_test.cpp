@@ -166,6 +166,37 @@ INSTANTIATE_TEST_SUITE_P(NodesByRpn, HierEngineParam,
                          ::testing::Combine(::testing::Values(1, 2, 3),
                                             ::testing::Values(1, 2, 4)));
 
+TEST(RealEngine, OneWorldCollectivePerCycle) {
+  // Every collective on a communicator takes the next tag of its sequence,
+  // so the gap between two tags taken around synchronize() is the number of
+  // world-communicator collectives it issued. With two ranks per node the
+  // fused data exchange runs on the node and leader communicators, leaving
+  // the coordination reduce as the only world collective.
+  mpi::World::run(4, [](mpi::Comm& comm) {
+    RealEngine engine(comm, FusionPolicy{}, /*ranks_per_node=*/2);
+    std::vector<std::vector<float>> grads(6, std::vector<float>(16, 1.0f));
+    for (int t = 0; t < 6; ++t) engine.register_tensor("t" + std::to_string(t), 16);
+    auto world_collectives = [&comm](const auto& body) {
+      const int before = comm.next_collective_tag().wire;
+      body();
+      return comm.next_collective_tag().wire - before - 1;
+    };
+
+    for (int t = 0; t < 6; ++t)
+      engine.submit(t, std::span<float>(grads[static_cast<std::size_t>(t)]));
+    EXPECT_EQ(world_collectives([&] { engine.synchronize(); }), 1);
+    EXPECT_EQ(engine.stats().engine_wakeups, 1u);
+    EXPECT_EQ(engine.stats().data_allreduces, 1u);
+    for (int t = 0; t < 6; ++t) EXPECT_TRUE(engine.is_complete(t));
+    EXPECT_FLOAT_EQ(grads[5][15], 1.0f);
+
+    // Nothing outstanding anywhere: one reduce finds that, no wake-up.
+    EXPECT_EQ(world_collectives([&] { engine.synchronize(); }), 1);
+    EXPECT_EQ(engine.stats().engine_wakeups, 1u);
+    EXPECT_EQ(engine.stats().data_allreduces, 1u);
+  });
+}
+
 TEST(RealEngine, HierarchicalRejectsBadRanksPerNode) {
   mpi::World::run(4, [](mpi::Comm& comm) {
     EXPECT_THROW(RealEngine(comm, FusionPolicy{}, 3), std::invalid_argument);
@@ -294,9 +325,11 @@ TEST(Timeline, CounterParityWithRealEngine) {
   // all become ready at once, default 64 MiB fusion threshold, 3 iterations.
   // Both must report one fused data allreduce per iteration and identical
   // framework/byte totals. Wake-up counts differ by construction: the real
-  // engine is driven synchronously (synchronize() cycles it only while work
-  // is outstanding) while the simulated engine free-runs on the cycle timer
-  // and also counts idle coordination cycles.
+  // engine is driven synchronously (each synchronize() cycle is one
+  // coordination reduce of ready counts, and the loop stops once that
+  // reduce leaves no tensor outstanding on any rank) while the simulated
+  // engine free-runs on the cycle timer and also counts idle coordination
+  // cycles.
   constexpr int kSteps = 3;
   constexpr int kTensors = 10;
   constexpr std::size_t kElems = 1024;  // 4096 bytes each

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <numeric>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "mpi/collectives.hpp"
 #include "mpi/cost.hpp"
+#include "mpi/mailbox.hpp"
 #include "mpi/world.hpp"
 
 namespace dnnperf::mpi {
@@ -569,5 +573,106 @@ TEST(P2P, UserTagRangeEnforced) {
     EXPECT_THROW(comm.send(&x, sizeof(x), 0, 1 << 16), std::invalid_argument);
   });
 }
+
+// ---------------------------------------------------------------------------
+// Mailbox: poll for kPollBudget, then park
+// ---------------------------------------------------------------------------
+
+std::vector<std::byte> bytes_of(int v) {
+  std::vector<std::byte> b(sizeof(v));
+  std::memcpy(b.data(), &v, sizeof(v));
+  return b;
+}
+
+int int_of(const std::vector<std::byte>& b) {
+  int v = 0;
+  EXPECT_EQ(b.size(), sizeof(v));
+  std::memcpy(&v, b.data(), std::min(b.size(), sizeof(v)));
+  return v;
+}
+
+TEST(Mailbox, ReceiveSatisfiedWhilePolling) {
+  // The sender pushes as soon as the receiver announces its pop, well within
+  // the poll budget. A receiver descheduled past the budget parks instead,
+  // so the test asks only that some of many rounds never parked.
+  constexpr int kRounds = 200;
+  Mailbox box;
+  std::atomic<int> announced{-1};
+  std::thread sender([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      while (announced.load(std::memory_order_acquire) != i) std::this_thread::yield();
+      box.push(0, 9, bytes_of(i));
+    }
+  });
+  for (int i = 0; i < kRounds; ++i) {
+    announced.store(i, std::memory_order_release);
+    EXPECT_EQ(int_of(box.pop(0, 9)), i);
+  }
+  sender.join();
+  EXPECT_LT(box.parks(), static_cast<std::uint64_t>(kRounds));
+}
+
+TEST(Mailbox, ReceivePastBudgetParksAndIsWoken) {
+  // The sender sleeps far past the poll budget, then pushes a message for
+  // another key first: the parked receiver wakes, finds nothing of its own,
+  // parks on, and is woken again by its own message.
+  Mailbox box;
+  std::atomic<bool> announced{false};
+  std::thread sender([&] {
+    while (!announced.load(std::memory_order_acquire)) std::this_thread::yield();
+    std::this_thread::sleep_for(Mailbox::kPollBudget * 400);
+    box.push(1, 9, bytes_of(-1));
+    std::this_thread::sleep_for(Mailbox::kPollBudget * 4);
+    box.push(0, 9, bytes_of(42));
+  });
+  announced.store(true, std::memory_order_release);
+  EXPECT_EQ(int_of(box.pop(0, 9)), 42);
+  sender.join();
+  EXPECT_EQ(box.parks(), 1u);
+  EXPECT_EQ(int_of(box.pop(1, 9)), -1);  // already queued: no poll, no park
+  EXPECT_EQ(box.parks(), 1u);
+}
+
+TEST(Mailbox, FifoPerSourceAndTagAcrossPollAndPark) {
+  // Ranks 0 and 2 send to 1 and 3 on the world communicator (tags 5 and 6)
+  // and on their two-rank sub-communicator (tag 5 again), interleaved, with
+  // pauses past the poll budget so receives both poll and park. Receivers
+  // drain the queues in a different order; each (source, tag, communicator)
+  // stream must arrive in send order.
+  constexpr int kMessages = 48;
+  World world(4);
+  std::vector<std::thread> ranks;
+  for (int g = 0; g < 4; ++g) {
+    ranks.emplace_back([&world, g] {
+      Comm comm(world, g);
+      auto pair = comm.split(g / 2, g);
+      const int peer = g ^ 1;
+      if (g % 2 == 0) {
+        for (int i = 0; i < kMessages; ++i) {
+          const int a = i, b = 1000 + i, c = 2000 + i;
+          comm.send(&a, sizeof(a), peer, 5);
+          pair->send(&c, sizeof(c), 1, 5);
+          comm.send(&b, sizeof(b), peer, 6);
+          if (i % 8 == 7) std::this_thread::sleep_for(Mailbox::kPollBudget * 4);
+        }
+      } else {
+        int got = -1;
+        for (int i = 0; i < kMessages; ++i) {
+          pair->recv(&got, sizeof(got), 0, 5);
+          EXPECT_EQ(got, 2000 + i);
+          comm.recv(&got, sizeof(got), peer, 6);
+          EXPECT_EQ(got, 1000 + i);
+        }
+        for (int i = 0; i < kMessages; ++i) {
+          comm.recv(&got, sizeof(got), peer, 5);
+          EXPECT_EQ(got, i);
+        }
+      }
+    });
+  }
+  for (auto& t : ranks) t.join();
+  EXPECT_GT(world.mailbox(1).parks() + world.mailbox(3).parks(), 0u);
+}
+
 }  // namespace
 }  // namespace dnnperf::mpi
