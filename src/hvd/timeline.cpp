@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -329,7 +330,7 @@ class TimelineSim {
   void wake() {
     counters_.on_engine_wakeup();
     if (pending_.empty()) {
-      if (!done_) engine_.schedule_after(in_.policy.cycle_time_s, [this] { wake(); });
+      if (!done_) schedule_after_idle();
       return;
     }
 
@@ -378,6 +379,27 @@ class TimelineSim {
       const double next = std::max(in_.policy.cycle_time_s, busy);
       engine_.schedule_after(next, [this] { wake(); });
     }
+  }
+
+  /// Schedules the wake-up that follows an idle one. Representative mode
+  /// keeps one calendar event per cycle. Per-rank mode fast-forwards (see
+  /// the header comment): only a submission fills `pending_`, so every tick
+  /// strictly before the next calendar event would wake idle again. Those
+  /// ticks are counted here and the next wake-up is scheduled at the first
+  /// tick at or after that event. The ticks are walked with the chain's own
+  /// repeated addition, so every wake-up time matches it bit for bit.
+  void schedule_after_idle() {
+    const double cycle = in_.policy.cycle_time_s;
+    double next = engine_.now() + cycle;
+    if (per_rank_mode()) {
+      const double until = engine_.next_time();
+      if (until == std::numeric_limits<double>::infinity())
+        throw std::logic_error("TimelineSim: idle engine with an empty calendar");
+      std::uint64_t skipped = 0;
+      for (; next < until; next += cycle) ++skipped;
+      counters_.on_engine_wakeup(skipped);
+    }
+    engine_.schedule_at(next, [this] { wake(); });
   }
 
   double data_allreduce_time(double bytes) const {

@@ -27,6 +27,24 @@
 // with the remaining backward compute. An iteration completes when the
 // backward pass is done, every gradient is reduced, and the optimizer has
 // run (synchronous SGD).
+//
+// Every wake-up counts in `engine_wakeups`, idle ones included, but in
+// per-rank mode an idle run of them costs one calendar event, not one per
+// cycle. When a wake-up finds nothing pending, the ticks t + cycle,
+// t + 2 cycle, ... (the same repeated addition the one-per-cycle chain
+// makes, so equal to it bit for bit) strictly before the next calendar
+// event are counted at once and one wake-up is scheduled at the first tick
+// at or after that event. This is exact: only a submission fills the
+// pending list, and no event lies between the skipped ticks, so each of
+// them would have woken idle. The new wake-up is also inserted after every
+// event already in the calendar, as the chain's would have been, so FIFO
+// order among events at the same time is unchanged. Busy wake-ups (next
+// wake at max(cycle, busy)) and the last counted wake-up after the final
+// iteration are not affected. Representative mode keeps one event per
+// cycle for now. The same fast-forward would be exact there too, but the
+// `advisor_mix` benchmark keeps every novel request and call time it sees,
+// so its peak RSS grows with evaluation throughput and a faster
+// representative mode pushes it past its memory bound.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 #include "mpi/cost.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 
 namespace dnnperf::mpi {
@@ -11,10 +11,69 @@ namespace {
 
 double ceil_log2(int n) { return n <= 1 ? 0.0 : std::ceil(std::log2(static_cast<double>(n))); }
 
+/// Intra-node stages a topology can have: intra-NUMA and intra-node.
+constexpr std::size_t kMaxStages = 2;
+
+/// One branch of the staged-plan search, held in place (no heap).
+struct StagedChoice {
+  std::array<HierarchyPlan::Level, kMaxStages> levels{};  ///< indexed like the stages
+  AllreduceAlgo top_algo = AllreduceAlgo::Ring;
+  double top_bytes = 0.0;
+  double top_s = 0.0;
+  double total_s = 0.0;
+};
+
+/// Cheapest plan for stages[k..] and the inter-node top level, given the
+/// shard reaching stage k.
+StagedChoice best_staged(const net::Topology& topology,
+                         const std::vector<net::HierarchyLevel>& stages, std::size_t k,
+                         double shard) {
+  if (k == stages.size()) {
+    // Inter-node allreduce of one shard: ring for bandwidth, RD for latency.
+    StagedChoice top;
+    top.top_bytes = shard;
+    const int nodes = topology.nodes();
+    if (nodes > 1) {
+      const auto& link = topology.inter_node();
+      const double ring = 2.0 * (nodes - 1) * link.transfer_time(shard / nodes);
+      const double rd = ceil_log2(nodes) * link.transfer_time(shard);
+      top.top_algo = ring <= rd ? AllreduceAlgo::Ring : AllreduceAlgo::RecursiveDoubling;
+      top.top_s = std::min(ring, rd);
+    }
+    top.total_s = top.top_s;
+    return top;
+  }
+  // Each stage either ring-reduce-scatters (one shard message per step, and
+  // the shard reaching the levels above shrinks by the group size) or runs a
+  // segmented tree (log-latency, shard stays full). The choice at one level
+  // changes the payload every level above sees, so the plan is the min over
+  // the whole choice tree — tiny, at most two levels deep. Totals add the
+  // top level first, then the stages outward-in; ties go to the ring.
+  const int g = stages[k].group_size;
+  const auto& link = stages[k].link;
+
+  const double ring_stage = 2.0 * (g - 1) * link.transfer_time(shard / g);
+  StagedChoice ring = best_staged(topology, stages, k + 1, shard / g);
+  ring.levels[k] = {g, StageAlgo::RingReduceScatter, ring_stage};
+  ring.total_s += ring_stage;
+
+  const double tree_stage =
+      2.0 * (ceil_log2(g) * (link.latency_s + link.per_msg_overhead_s) +
+             shard / (link.bandwidth_gbps * 1e9));
+  StagedChoice tree = best_staged(topology, stages, k + 1, shard);
+  tree.levels[k] = {g, StageAlgo::Tree, tree_stage};
+  tree.total_s += tree_stage;
+
+  return ring.total_s <= tree.total_s ? ring : tree;
+}
+
 }  // namespace
 
 CollectiveCostModel::CollectiveCostModel(net::Topology topology)
-    : topology_(std::move(topology)) {}
+    : topology_(std::move(topology)), stages_(topology_.intra_hierarchy()) {
+  if (stages_.size() > kMaxStages)
+    throw std::logic_error("CollectiveCostModel: more intra-node stages than planned for");
+}
 
 double CollectiveCostModel::local_tree_time(double bytes) const {
   const int ppn = topology_.ppn();
@@ -62,57 +121,20 @@ double CollectiveCostModel::hierarchical_allreduce_time(double bytes) const {
 
 HierarchyPlan CollectiveCostModel::plan_staged_allreduce(double bytes) const {
   if (bytes < 0) throw std::invalid_argument("plan_staged_allreduce: negative bytes");
-  const auto stages = topology_.intra_hierarchy();
-  const int nodes = topology_.nodes();
-
-  // Inter-node allreduce of one shard: ring for bandwidth, RD for latency.
-  const auto top_cost = [&](double shard) {
-    HierarchyPlan plan;
-    plan.top_ranks = nodes;
-    plan.top_bytes = shard;
-    if (nodes > 1) {
-      const auto& link = topology_.inter_node();
-      const double ring = 2.0 * (nodes - 1) * link.transfer_time(shard / nodes);
-      const double rd = ceil_log2(nodes) * link.transfer_time(shard);
-      plan.top_algo = ring <= rd ? AllreduceAlgo::Ring : AllreduceAlgo::RecursiveDoubling;
-      plan.top_s = std::min(ring, rd);
-    }
-    plan.total_s = plan.top_s;
-    return plan;
-  };
-
-  // Each stage either ring-reduce-scatters (one shard message per step, and
-  // the shard reaching the levels above shrinks by the group size) or runs a
-  // segmented tree (log-latency, shard stays full). The choice at one level
-  // changes the payload every level above sees, so the plan is the min over
-  // the whole choice tree — tiny, at most two levels deep.
-  const std::function<HierarchyPlan(std::size_t, double)> best = [&](std::size_t k,
-                                                                     double shard) {
-    if (k == stages.size()) return top_cost(shard);
-    const int g = stages[k].group_size;
-    const auto& link = stages[k].link;
-
-    const double ring_stage = 2.0 * (g - 1) * link.transfer_time(shard / g);
-    HierarchyPlan ring_plan = best(k + 1, shard / g);
-    ring_plan.levels.insert(ring_plan.levels.begin(),
-                            {g, StageAlgo::RingReduceScatter, ring_stage});
-    ring_plan.total_s += ring_stage;
-
-    const double tree_stage =
-        2.0 * (ceil_log2(g) * (link.latency_s + link.per_msg_overhead_s) +
-               shard / (link.bandwidth_gbps * 1e9));
-    HierarchyPlan tree_plan = best(k + 1, shard);
-    tree_plan.levels.insert(tree_plan.levels.begin(), {g, StageAlgo::Tree, tree_stage});
-    tree_plan.total_s += tree_stage;
-
-    return ring_plan.total_s <= tree_plan.total_s ? ring_plan : tree_plan;
-  };
-
-  return best(0, bytes);
+  const StagedChoice best = best_staged(topology_, stages_, 0, bytes);
+  HierarchyPlan plan;
+  plan.levels.assign(best.levels.begin(), best.levels.begin() + stages_.size());
+  plan.top_algo = best.top_algo;
+  plan.top_ranks = topology_.nodes();
+  plan.top_bytes = best.top_bytes;
+  plan.top_s = best.top_s;
+  plan.total_s = best.total_s;
+  return plan;
 }
 
 double CollectiveCostModel::staged_allreduce_time(double bytes) const {
-  return plan_staged_allreduce(bytes).total_s;
+  if (bytes < 0) throw std::invalid_argument("staged_allreduce_time: negative bytes");
+  return best_staged(topology_, stages_, 0, bytes).total_s;
 }
 
 double CollectiveCostModel::allreduce_time(double bytes, AllreduceAlgo algo) const {

@@ -8,6 +8,8 @@
 // doubling for small ones, with automatic selection.
 #pragma once
 
+#include <vector>
+
 #include "mpi/collectives.hpp"
 #include "net/topology.hpp"
 
@@ -56,6 +58,10 @@ class CollectiveCostModel {
   /// reduce-scatter/tree down the topology's intra-node hierarchy, one
   /// inter-node allreduce of the surviving shard, then back up. The plan
   /// records the cheapest per-level algorithm choice for this payload.
+  /// The stages are resolved once at construction and the search allocates
+  /// nothing; only the plan's `levels` vector is built here, so the DES,
+  /// which prices one staged allreduce per busy engine cycle, calls
+  /// staged_allreduce_time for the total alone.
   HierarchyPlan plan_staged_allreduce(double bytes) const;
   double staged_allreduce_time(double bytes) const;
 
@@ -67,6 +73,7 @@ class CollectiveCostModel {
   double local_tree_time(double bytes) const;
 
   net::Topology topology_;
+  std::vector<net::HierarchyLevel> stages_;  ///< topology_.intra_hierarchy()
 };
 
 }  // namespace dnnperf::mpi

@@ -71,6 +71,11 @@ void Engine::drop_cancelled_top() {
   }
 }
 
+double Engine::next_time() {
+  drop_cancelled_top();
+  return heap_.empty() ? std::numeric_limits<double>::infinity() : heap_.front().time;
+}
+
 bool Engine::step() {
   drop_cancelled_top();
   if (heap_.empty()) return false;

@@ -59,6 +59,11 @@ class Engine {
 
   static constexpr std::uint64_t kTraceCounterStride = 256;
 
+  /// Time of the earliest live event, +inf when the calendar is empty.
+  /// Cancelled events at the heap top are dropped (their slots freed) on
+  /// the way, which is why this is not const; execution order is untouched.
+  double next_time();
+
   bool empty() const { return pending_live_ == 0; }
   std::uint64_t events_processed() const { return processed_; }
 

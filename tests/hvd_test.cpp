@@ -394,6 +394,38 @@ TEST(Timeline, PerRankModeKeepsCounterParityAtFourThousandRanks) {
   EXPECT_EQ(sim.pool_slots, small.pool_slots);
 }
 
+TEST(Timeline, PerRankIdleWakeupsCostNoEvents) {
+  // Per-rank mode fast-forwards idle engine cycles: the wake-ups between two
+  // calendar events are counted in one step instead of each running as an
+  // event. Cutting the cycle time 7x multiplies the counted wake-ups by
+  // about 7 while the event count grows only by the added busy cycles
+  // (each fuses one buffer here, so data_allreduces counts them).
+  mpi::CollectiveCostModel cost(net::Topology(4, 16, hw::FabricKind::OmniPath));
+  auto in = basic_input(&cost);
+  in.wakeup_cpu_s = 0.0;  // keep compute independent of the cycle time
+  in.sim_ranks = 64;
+  in.per_rank_jitter_cv = 0.02;
+  in.policy.cycle_time_s = 3.5e-3;
+  const auto slow = simulate_training(in);
+  in.policy.cycle_time_s = 0.5e-3;
+  const auto fast = simulate_training(in);
+
+  const double ratio = static_cast<double>(fast.stats.engine_wakeups) /
+                       static_cast<double>(slow.stats.engine_wakeups);
+  EXPECT_GT(ratio, 6.5);
+  EXPECT_LT(ratio, 7.5);
+  ASSERT_GE(fast.stats.data_allreduces, slow.stats.data_allreduces);
+  const std::uint64_t added_busy = fast.stats.data_allreduces - slow.stats.data_allreduces;
+  EXPECT_LE(fast.events_processed, slow.events_processed + added_busy);
+  EXPECT_LT(fast.events_processed, fast.stats.engine_wakeups);
+
+  // Representative mode still runs one calendar event per wake-up.
+  in.sim_ranks = 1;
+  in.per_rank_jitter_cv = 0.0;
+  const auto rep = simulate_training(in);
+  EXPECT_GE(rep.events_processed, rep.stats.engine_wakeups);
+}
+
 TEST(FusionPolicy, Validation) {
   FusionPolicy p;
   p.cycle_time_s = 0.0;

@@ -287,6 +287,43 @@ TEST(CostModel, MoreNodesCostMore) {
   }
 }
 
+TEST(CostModel, StagedPlanMatchesStagedTime) {
+  // Three levels: 4 nodes x 16 ppn in 2 NUMA domains of 8 ranks each.
+  CollectiveCostModel cost(net::Topology(4, 16, hw::FabricKind::OmniPath,
+                                         net::shared_memory_params(), 2,
+                                         net::numa_local_params()));
+  for (double bytes : {8.0, 64e3, 1e6, 1e9}) {
+    const HierarchyPlan plan = cost.plan_staged_allreduce(bytes);
+    EXPECT_EQ(plan.total_s, cost.staged_allreduce_time(bytes)) << bytes;
+    ASSERT_EQ(plan.levels.size(), 2u);
+    EXPECT_EQ(plan.levels[0].group_size, 8);
+    EXPECT_EQ(plan.levels[1].group_size, 2);
+    EXPECT_EQ(plan.top_ranks, 4);
+    // The search's summation order: the top level, then the stages outward-in.
+    EXPECT_EQ(plan.top_s + plan.levels[1].stage_s + plan.levels[0].stage_s, plan.total_s)
+        << bytes;
+  }
+  // Latency-bound payloads take the tree, bandwidth-bound ones the ring,
+  // whose shard shrinks by each group size on the way up.
+  EXPECT_EQ(cost.plan_staged_allreduce(8.0).levels[0].algo, StageAlgo::Tree);
+  const HierarchyPlan big = cost.plan_staged_allreduce(1e9);
+  EXPECT_EQ(big.levels[0].algo, StageAlgo::RingReduceScatter);
+  EXPECT_EQ(big.levels[1].algo, StageAlgo::RingReduceScatter);
+  EXPECT_EQ(big.top_bytes, 1e9 / 8 / 2);
+  EXPECT_THROW(cost.staged_allreduce_time(-1.0), std::invalid_argument);
+  EXPECT_THROW(cost.plan_staged_allreduce(-1.0), std::invalid_argument);
+
+  // Without a NUMA level there is one intra-node stage; with one rank per
+  // node, none.
+  const CollectiveCostModel two(net::Topology(4, 16, hw::FabricKind::OmniPath));
+  EXPECT_EQ(two.plan_staged_allreduce(1e6).levels.size(), 1u);
+  const CollectiveCostModel flat(net::Topology(4, 1, hw::FabricKind::OmniPath));
+  const HierarchyPlan top_only = flat.plan_staged_allreduce(1e6);
+  EXPECT_TRUE(top_only.levels.empty());
+  EXPECT_EQ(top_only.total_s, top_only.top_s);
+  EXPECT_EQ(top_only.total_s, flat.staged_allreduce_time(1e6));
+}
+
 
 // ---------------------------------------------------------------------------
 // Communicator splitting and the collectives built on it

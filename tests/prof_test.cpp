@@ -312,8 +312,9 @@ TEST(CompareSim, ComputePhasesRoundTripExactly) {
   const CompareReport c = compare_with_sim(r, policy, &cost);
   ASSERT_EQ(c.phases.size(), 5u);
   for (const PhaseError& row : c.phases) {
-    if (row.phase == "forward" || row.phase == "backward" || row.phase == "optimizer")
+    if (row.phase == "forward" || row.phase == "backward" || row.phase == "optimizer") {
       EXPECT_NEAR(row.rel_error, 0.0, 1e-12) << row.phase;  // fed from the measurement
+    }
     EXPECT_TRUE(std::isfinite(row.rel_error)) << row.phase;
     EXPECT_GT(row.predicted_s, 0.0) << row.phase;
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -134,6 +135,49 @@ TEST(Engine, CancelledEventsFreeTheirSlots) {
   for (int i = 0; i < 8; ++i) engine.schedule_at(10.0 + i, [] {});
   EXPECT_EQ(engine.pool_slots(), 8u);
   engine.run();
+}
+
+TEST(Engine, NextTimeOfEmptyCalendarIsInfinite) {
+  Engine engine;
+  EXPECT_EQ(engine.next_time(), std::numeric_limits<double>::infinity());
+  engine.schedule_at(1.5, [] {});
+  EXPECT_EQ(engine.next_time(), 1.5);
+  engine.run();
+  EXPECT_EQ(engine.next_time(), std::numeric_limits<double>::infinity());
+  const EventId id = engine.schedule_at(3.0, [] {});
+  engine.cancel(id);  // only a cancelled event left: still empty
+  EXPECT_EQ(engine.next_time(), std::numeric_limits<double>::infinity());
+}
+
+TEST(Engine, NextTimeSkipsCancelledHead) {
+  Engine engine;
+  std::vector<int> order;
+  const EventId head = engine.schedule_at(1.0, [&] { order.push_back(1); });
+  const EventId second = engine.schedule_at(2.0, [&] { order.push_back(2); });
+  engine.schedule_at(4.0, [&] { order.push_back(4); });
+  engine.cancel(head);
+  engine.cancel(second);
+  EXPECT_EQ(engine.next_time(), 4.0);
+  EXPECT_DOUBLE_EQ(engine.now(), 0.0);  // a query runs nothing
+  EXPECT_EQ(engine.events_processed(), 0u);
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{4}));
+  EXPECT_EQ(engine.events_processed(), 1u);
+}
+
+TEST(Engine, NextTimeKeepsFifoAmongEqualTimes) {
+  // Querying the head must not reorder simultaneous events: ones scheduled
+  // after the query still run after every earlier one at the same time.
+  Engine engine;
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) engine.schedule_at(1.0, [&order, i] { order.push_back(i); });
+  const EventId cancelled = engine.schedule_at(1.0, [&order] { order.push_back(-1); });
+  engine.cancel(cancelled);
+  EXPECT_EQ(engine.next_time(), 1.0);
+  engine.schedule_at(1.0, [&order] { order.push_back(3); });
+  EXPECT_EQ(engine.next_time(), 1.0);
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(Resource, GrantsUpToCapacity) {
