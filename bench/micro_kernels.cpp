@@ -1,5 +1,6 @@
 // Microbenchmarks of the refdnn numeric substrate: conv/dense/batchnorm
-// kernels, the packed GEMM and implicit-GEMM conv at real ResNet-50 layer
+// kernels, the GEMM micro-kernel bodies, the packed GEMM and implicit-GEMM
+// conv at real ResNet-50 layer shapes and at the bench suite's tiny-CNN
 // shapes, and the thread pool's dispatch overhead. BM_Conv2dForward (the
 // direct loop-nest conv) is the unoptimized baseline.
 #include <benchmark/benchmark.h>
@@ -11,6 +12,7 @@
 
 #include "ref/conv_fast.hpp"
 #include "ref/gemm.hpp"
+#include "ref/gemm_packed.hpp"
 #include "ref/kernels.hpp"
 #include "ref/network.hpp"
 
@@ -65,6 +67,38 @@ void register_gemm_benches() {
         s.name, [s](benchmark::State& st) { gemm_shape_bench(st, s.m, s.k, s.n); });
     for (std::int64_t threads : bench_thread_counts()) bench->Arg(threads);
   }
+}
+
+// One micro-kernel body on one full 256-deep k-block of packed panels, the
+// 8x8 tile accumulated in place: the GEMM's inner loop with no packing, no
+// blocking and no store. Rate = GFLOP/s. The production GEMM runs
+// detail::micro_kernel(), the AVX2 body on any CPU that has AVX2.
+void micro_kernel_bench(benchmark::State& state, ref::detail::MicroKernel kernel) {
+  using ref::detail::kMR;
+  using ref::detail::kNR;
+  const int kc = ref::detail::kKC;
+  util::Rng rng(16);
+  const ref::Tensor a = ref::Tensor::randn({kc, kMR}, rng);
+  const ref::Tensor b = ref::Tensor::randn({kc, kNR}, rng);
+  float acc[kMR * kNR];
+  for (auto _ : state) {
+    kernel(kc, a.data(), b.data(), acc);
+    benchmark::DoNotOptimize(acc);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kc * kMR * kNR);
+}
+
+void register_micro_kernel_benches() {
+  benchmark::RegisterBenchmark("BM_GemmMicroKernel/portable", [](benchmark::State& st) {
+    micro_kernel_bench(st, &ref::detail::micro_kernel_portable);
+  });
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2"))
+    benchmark::RegisterBenchmark("BM_GemmMicroKernel/avx2", [](benchmark::State& st) {
+      micro_kernel_bench(st, &ref::detail::micro_kernel_avx2);
+    });
+#endif
 }
 
 // gemm_at (the weight-gradient GEMM) on the 3x3x256 @ 14x14 shape:
@@ -157,10 +191,44 @@ void BM_Conv2dBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackward);
 
-// GEMM-lowered conv backward at the two conv layers of the bench suite's
+// The implicit-GEMM conv forward at the two conv layers of the bench suite's
 // train_compute workload (3x3, stride 1, pad 1, batch 32). Arg: threads.
-// Rate = GFLOP/s of the dW and dX GEMMs (2 * rows * OC * CKK each).
-void BM_Conv2dBackwardGemm(benchmark::State& state, int c, int hw, int oc) {
+void BM_ConvForwardGemm(benchmark::State& state, int c, int hw, int oc) {
+  ref::ThreadPool pool(static_cast<int>(state.range(0)));
+  util::Rng rng(17);
+  const int batch = 32;
+  const ref::Tensor x = ref::Tensor::randn({batch, c, hw, hw}, rng);
+  const ref::Tensor w = ref::Tensor::randn({oc, c, 3, 3}, rng, 0.1f);
+  const ref::Tensor b = ref::Tensor::zeros({oc});
+  for (auto _ : state) {
+    const auto y = ref::conv2d_forward_gemm(x, w, b, ref::ConvSpec{1, 1}, pool);
+    benchmark::DoNotOptimize(y.data());
+  }
+  const double flops = 2.0 * batch * hw * hw * oc * c * 9;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * flops));
+}
+BENCHMARK_CAPTURE(BM_ConvForwardGemm, conv1_3to8_32, 3, 32, 8)->Arg(1);
+BENCHMARK_CAPTURE(BM_ConvForwardGemm, conv2_8to16_16, 8, 16, 16)->Arg(1);
+
+// im2col_image of one image at the same two layers (3x3, pad 1).
+void BM_Im2colImage(benchmark::State& state, int c, int hw) {
+  util::Rng rng(18);
+  const ref::Tensor x = ref::Tensor::randn({1, c, hw, hw}, rng);
+  std::vector<float> cols(static_cast<std::size_t>(hw) * hw * c * 9);
+  for (auto _ : state) {
+    ref::im2col_image(x.data(), c, hw, hw, 3, 3, 1, 1, cols.data());
+    benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_CAPTURE(BM_Im2colImage, conv1_3to8_32, 3, 32);
+BENCHMARK_CAPTURE(BM_Im2colImage, conv2_8to16_16, 8, 16);
+
+// GEMM-lowered conv backward at the same two layers. Arg: threads. Rate =
+// GFLOP/s of the dW and dX GEMMs (2 * rows * OC * CKK each); the `_params`
+// case is conv2d_backward_gemm_params (no dX, as a first layer runs it), and
+// its rate counts the dW GEMM only.
+void BM_Conv2dBackwardGemm(benchmark::State& state, int c, int hw, int oc, bool with_dx) {
   ref::ThreadPool pool(static_cast<int>(state.range(0)));
   util::Rng rng(15);
   const int batch = 32;
@@ -169,16 +237,20 @@ void BM_Conv2dBackwardGemm(benchmark::State& state, int c, int hw, int oc) {
   const ref::Tensor dy = ref::Tensor::randn({batch, oc, hw, hw}, rng);
   ref::Tensor dx, dw, db;
   for (auto _ : state) {
-    ref::conv2d_backward_gemm(x, w, dy, ref::ConvSpec{1, 1}, dx, dw, db, pool);
+    if (with_dx)
+      ref::conv2d_backward_gemm(x, w, dy, ref::ConvSpec{1, 1}, dx, dw, db, pool);
+    else
+      ref::conv2d_backward_gemm_params(x, w, dy, ref::ConvSpec{1, 1}, dw, db, pool);
     benchmark::DoNotOptimize(dx.data());
     benchmark::DoNotOptimize(dw.data());
     benchmark::ClobberMemory();
   }
-  const double flops = 2.0 * 2.0 * batch * hw * hw * oc * c * 9;
+  const double flops = (with_dx ? 2.0 : 1.0) * 2.0 * batch * hw * hw * oc * c * 9;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * flops));
 }
-BENCHMARK_CAPTURE(BM_Conv2dBackwardGemm, conv1_3to8_32, 3, 32, 8)->Arg(1)->Arg(2);
-BENCHMARK_CAPTURE(BM_Conv2dBackwardGemm, conv2_8to16_16, 8, 16, 16)->Arg(1)->Arg(2);
+BENCHMARK_CAPTURE(BM_Conv2dBackwardGemm, conv1_3to8_32, 3, 32, 8, true)->Arg(1)->Arg(2);
+BENCHMARK_CAPTURE(BM_Conv2dBackwardGemm, conv1_3to8_32_params, 3, 32, 8, false)->Arg(1);
+BENCHMARK_CAPTURE(BM_Conv2dBackwardGemm, conv2_8to16_16, 8, 16, 16, true)->Arg(1)->Arg(2);
 
 void BM_DenseForward(benchmark::State& state) {
   ref::ThreadPool pool(2);
@@ -237,6 +309,7 @@ BENCHMARK(BM_TrainStepTinyCnn);
 
 int main(int argc, char** argv) {
   register_gemm_benches();
+  register_micro_kernel_benches();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

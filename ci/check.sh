@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: build and test the default preset, then the sanitizer
-# presets (ASan+UBSan, TSan, standalone UBSan with no recovery). The ASan and
+# presets (ASan+UBSan, TSan, standalone UBSan with no recovery), then the
+# `native` leg (the release-native preset: -O3 -march=native). The ASan and
 # TSan runs use the preset filters in CMakePresets.json — deterministic
 # unit/integration suites, not the timing-sensitive benches; the ubsan leg
-# runs the full suite and aborts on the first finding. After the default
+# runs the full suite and aborts on the first finding. The native leg runs
+# the full suite too: its golden tables (RealTrainer.*, PerRankGolden.*) and
+# GemmMicroKernel.Avx2MatchesPortableBitForBit must hold bit for bit in a
+# build whose compiler may use every instruction the host has. After the default
 # preset, an advisor smoke step drives a short deterministic advisor_load run
 # (fails unless the warm cache hit and qps > 0), a sim-scale smoke simulates
 # a 1024-rank step (per-rank jitter, the slowest alive rank's submission
@@ -26,14 +30,15 @@
 # advisor's survivability query.
 # Run from the repo root:
 #
-#   ci/check.sh            # all four presets
+#   ci/check.sh            # all five legs
 #   ci/check.sh default    # just one
+#   ci/check.sh native     # the release-native preset
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 presets=("$@")
 if [ ${#presets[@]} -eq 0 ]; then
-  presets=(default asan tsan ubsan)
+  presets=(default asan tsan ubsan native)
 fi
 
 # Short deterministic advisor_load run: fixed pool width and query counts so
@@ -132,7 +137,11 @@ elastic_verify_smoke() {
       --cluster=Stampede2 --model=resnet50 --nodes=2 --check
 }
 
-for preset in "${presets[@]}"; do
+for leg in "${presets[@]}"; do
+  preset="$leg"
+  if [ "$leg" = native ]; then
+    preset=release-native
+  fi
   echo "=== [$preset] configure ==="
   cmake --preset "$preset"
   echo "=== [$preset] build ==="

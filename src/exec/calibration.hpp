@@ -13,9 +13,11 @@ namespace dnnperf::exec {
 
 struct CpuCalibration {
   // ---- kernel efficiency: fraction of the core's SIMD peak sustained -----
-  // These fractions are grounded by refdnn's own measured kernels (DESIGN.md
-  // §6.1): the packed AVX2 GEMM sustains ~0.9 of nominal single-core peak
-  // (mkl_gemm_eff is achievable) and the naive loops ~0.25 (generic-tier).
+  // refdnn's measured kernels (DESIGN.md §6.1) show the spread these
+  // fractions describe, not the fractions themselves: its packed GEMM (no
+  // FMA, so every build gives the same bits) is ~20x the historical naive
+  // loops and sustains ~0.7 of its own micro-kernel's rate at ResNet-50
+  // shapes. mkl_gemm_eff stays an anchor fitted to the paper.
   // Anchor: 5001 img/s for ResNet-152 on 128 Skylake-3 nodes => ~39 img/s
   // per node => ~42% of node fp32 peak end to end (Section VI-D).
   double mkl_conv_eff = 0.78;

@@ -29,14 +29,17 @@ Tensor forward_gemm_packed(const Tensor& x, const Tensor& w, const Tensor& b, Co
   const int k = c * kh * kw;     // im2col columns (kernel taps)
   const int stride = spec.stride, pad = spec.pad;
 
-  // Tap tables: column index kk -> (channel, ky, kx), computed once so the
-  // packer's inner loop is divide-free.
-  std::vector<int> tap_c(static_cast<std::size_t>(k)), tap_y(static_cast<std::size_t>(k)),
-      tap_x(static_cast<std::size_t>(k));
+  // Tap tables, computed once so the packer's inner loop is divide-free:
+  // column index kk -> (ky, kx) for the bounds checks, and the tap's offset
+  // (channel*H + ky)*W + kx from its row's receptive-field origin.
+  std::vector<int> tap_y(static_cast<std::size_t>(k)), tap_x(static_cast<std::size_t>(k));
+  std::vector<std::ptrdiff_t> tap_off(static_cast<std::size_t>(k));
   for (int kk = 0; kk < k; ++kk) {
-    tap_c[static_cast<std::size_t>(kk)] = kk / (kh * kw);
-    tap_y[static_cast<std::size_t>(kk)] = (kk / kw) % kh;
-    tap_x[static_cast<std::size_t>(kk)] = kk % kw;
+    const int ky = (kk / kw) % kh, kx = kk % kw;
+    tap_y[static_cast<std::size_t>(kk)] = ky;
+    tap_x[static_cast<std::size_t>(kk)] = kx;
+    tap_off[static_cast<std::size_t>(kk)] =
+        (static_cast<std::ptrdiff_t>(kk / (kh * kw)) * h + ky) * iw + kx;
   }
 
   const float* px = x.data();
@@ -47,8 +50,13 @@ Tensor forward_gemm_packed(const Tensor& x, const Tensor& w, const Tensor& b, Co
   const std::size_t plane = static_cast<std::size_t>(oh) * ow;
 
   // A-panel packer: fused im2col. Row i is output position (ni, oy, ox);
-  // element (i, kk) is the input tap x[ni, tap_c, oy*s+ky-p, ox*s+kx-p].
+  // element (i, kk) is the input tap x[ni, c, oy*s+ky-p, ox*s+kx-p]. A row
+  // whose receptive field lies inside the image gathers with no bounds
+  // checks; a border row checks every tap and zero-fills the padding.
   const auto pack_a = [&](float* dst, int i0, int mh, int k0, int kc) {
+    const std::ptrdiff_t* off = tap_off.data() + k0;
+    const int* ty = tap_y.data() + k0;
+    const int* tx = tap_x.data() + k0;
     const int mpanels = (mh + detail::kMR - 1) / detail::kMR;
     for (int ip = 0; ip < mpanels; ++ip) {
       float* panel = dst + static_cast<std::size_t>(ip) * kc * detail::kMR;
@@ -63,17 +71,18 @@ Tensor forward_gemm_packed(const Tensor& x, const Tensor& w, const Tensor& b, Co
         const int base_y = (rem / ow) * stride - pad;
         const int base_x = (rem % ow) * stride - pad;
         const float* xn = px + static_cast<std::size_t>(ni) * c * h * iw;
+        const std::ptrdiff_t origin = static_cast<std::ptrdiff_t>(base_y) * iw + base_x;
+        if (base_y >= 0 && base_y + kh <= h && base_x >= 0 && base_x + kw <= iw) {
+          const float* src = xn + origin;
+          for (int kk = 0; kk < kc; ++kk) panel[kk * detail::kMR + r] = src[off[kk]];
+          continue;
+        }
         for (int kk = 0; kk < kc; ++kk) {
-          const int iy = base_y + tap_y[static_cast<std::size_t>(k0 + kk)];
-          const int ix = base_x + tap_x[static_cast<std::size_t>(k0 + kk)];
+          const int iy = base_y + ty[kk];
+          const int ix = base_x + tx[kk];
           const bool in = static_cast<unsigned>(iy) < static_cast<unsigned>(h) &&
                           static_cast<unsigned>(ix) < static_cast<unsigned>(iw);
-          panel[kk * detail::kMR + r] =
-              in ? xn[(static_cast<std::size_t>(tap_c[static_cast<std::size_t>(k0 + kk)]) * h +
-                       iy) *
-                          iw +
-                      ix]
-                 : 0.0f;
+          panel[kk * detail::kMR + r] = in ? xn[origin + off[kk]] : 0.0f;
         }
       }
     }
@@ -118,6 +127,72 @@ Tensor forward_gemm_packed(const Tensor& x, const Tensor& w, const Tensor& b, Co
   return y;
 }
 
+/// The per-image backward pass; the dX GEMM and col2im run only when `dx`
+/// is given. dW and db do not depend on whether they do.
+void backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec spec, Tensor* dx,
+                   Tensor& dw, Tensor& db, ThreadPool& pool) {
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), ww = x.dim(3);
+  const int oc = w.dim(0), kh = w.dim(2), kw = w.dim(3);
+  const int p = dy.dim(2) * dy.dim(3);  // output positions per image
+  const int ckk = c * kh * kw;
+  DNNPERF_TRACE_SPAN_VAR(span, "ref", "conv2d_bwd_gemm");
+  if (span.active()) {
+    span.set_args(std::move(util::trace::Args().add("n", n).add("c", c).add("oc", oc).add("k", kh))
+                      .str());
+    span.set_flops((dx != nullptr ? 2.0 : 1.0) * 2.0 * n * p * oc * ckk);  // dW (and dX) GEMMs
+  }
+  const std::size_t x_image = static_cast<std::size_t>(c) * h * ww;
+  const std::size_t dy_image = static_cast<std::size_t>(oc) * p;
+  const std::size_t w_size = static_cast<std::size_t>(oc) * ckk;
+
+  // Per-image weight/bias gradients, summed in image order below so the
+  // result is the same bits for any thread count.
+  std::vector<float> dw_parts(static_cast<std::size_t>(n) * w_size);
+  std::vector<float> db_parts(static_cast<std::size_t>(n) * oc);
+  if (dx != nullptr) *dx = Tensor::zeros(x.shape());
+
+  // Images are independent. The GEMMs inside run inline on this worker (the
+  // pool's re-entrancy guard); with one image they run on the whole pool.
+  pool.parallel_for(static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
+    thread_local std::vector<float> cols, dcols;  // [P, CKK] each
+    cols.resize(static_cast<std::size_t>(p) * ckk);
+    if (dx != nullptr) dcols.resize(static_cast<std::size_t>(p) * ckk);
+    for (std::size_t i = begin; i < end; ++i) {
+      // NCHW dY is already [OC, P] per image.
+      const float* dy_i = dy.data() + i * dy_image;
+      im2col_image(x.data() + i * x_image, c, h, ww, kh, kw, spec.stride, spec.pad, cols.data());
+      {  // dW_i [OC, CKK] = dY_i [OC, P] * cols [P, CKK]
+        detail::GemmMetricsScope metrics_scope(oc, p, ckk);
+        detail::gemm_packed(dy_i, cols.data(), dw_parts.data() + i * w_size, oc, p, ckk,
+                            /*accumulate=*/false, pool);
+      }
+      for (int o = 0; o < oc; ++o) {
+        const float* row = dy_i + static_cast<std::size_t>(o) * p;
+        float sum = 0.0f;
+        for (int q = 0; q < p; ++q) sum += row[q];
+        db_parts[i * oc + static_cast<std::size_t>(o)] = sum;
+      }
+      if (dx == nullptr) continue;
+      {  // dcols [P, CKK] = dY_i^T [P, OC] * W [OC, CKK]
+        detail::GemmMetricsScope metrics_scope(p, oc, ckk);
+        detail::gemm_at_packed(dy_i, w.data(), dcols.data(), p, oc, ckk, /*accumulate=*/false,
+                               pool);
+      }
+      col2im_image(dcols.data(), c, h, ww, kh, kw, spec.stride, spec.pad,
+                   dx->data() + i * x_image);
+    }
+  });
+
+  dw = Tensor::zeros(w.shape());
+  db = Tensor::zeros({oc});
+  for (int i = 0; i < n; ++i) {
+    const float* dw_i = dw_parts.data() + static_cast<std::size_t>(i) * w_size;
+    for (std::size_t j = 0; j < w_size; ++j) dw[j] += dw_i[j];
+    const float* db_i = db_parts.data() + static_cast<std::size_t>(i) * oc;
+    for (int o = 0; o < oc; ++o) db[static_cast<std::size_t>(o)] += db_i[o];
+  }
+}
+
 }  // namespace
 
 Tensor conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
@@ -144,65 +219,12 @@ Tensor conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, Co
 
 void conv2d_backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec spec,
                           Tensor& dx, Tensor& dw, Tensor& db, ThreadPool& pool) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), ww = x.dim(3);
-  const int oc = w.dim(0), kh = w.dim(2), kw = w.dim(3);
-  const int p = dy.dim(2) * dy.dim(3);  // output positions per image
-  const int ckk = c * kh * kw;
-  DNNPERF_TRACE_SPAN_VAR(span, "ref", "conv2d_bwd_gemm");
-  if (span.active()) {
-    span.set_args(std::move(util::trace::Args().add("n", n).add("c", c).add("oc", oc).add("k", kh))
-                      .str());
-    span.set_flops(2.0 * 2.0 * n * p * oc * ckk);  // the dW and dX GEMMs
-  }
-  const std::size_t x_image = static_cast<std::size_t>(c) * h * ww;
-  const std::size_t dy_image = static_cast<std::size_t>(oc) * p;
-  const std::size_t w_size = static_cast<std::size_t>(oc) * ckk;
+  backward_gemm(x, w, dy, spec, &dx, dw, db, pool);
+}
 
-  // Per-image weight/bias gradients, summed in image order below so the
-  // result is the same bits for any thread count.
-  std::vector<float> dw_parts(static_cast<std::size_t>(n) * w_size);
-  std::vector<float> db_parts(static_cast<std::size_t>(n) * oc);
-  dx = Tensor::zeros(x.shape());
-
-  // Images are independent. The GEMMs inside run inline on this worker (the
-  // pool's re-entrancy guard); with one image they run on the whole pool.
-  pool.parallel_for(static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
-    thread_local std::vector<float> cols, dcols;  // [P, CKK] each
-    cols.resize(static_cast<std::size_t>(p) * ckk);
-    dcols.resize(static_cast<std::size_t>(p) * ckk);
-    for (std::size_t i = begin; i < end; ++i) {
-      // NCHW dY is already [OC, P] per image.
-      const float* dy_i = dy.data() + i * dy_image;
-      im2col_image(x.data() + i * x_image, c, h, ww, kh, kw, spec.stride, spec.pad, cols.data());
-      {  // dW_i [OC, CKK] = dY_i [OC, P] * cols [P, CKK]
-        detail::GemmMetricsScope metrics_scope(oc, p, ckk);
-        detail::gemm_packed(dy_i, cols.data(), dw_parts.data() + i * w_size, oc, p, ckk,
-                            /*accumulate=*/false, pool);
-      }
-      for (int o = 0; o < oc; ++o) {
-        const float* row = dy_i + static_cast<std::size_t>(o) * p;
-        float sum = 0.0f;
-        for (int q = 0; q < p; ++q) sum += row[q];
-        db_parts[i * oc + static_cast<std::size_t>(o)] = sum;
-      }
-      {  // dcols [P, CKK] = dY_i^T [P, OC] * W [OC, CKK]
-        detail::GemmMetricsScope metrics_scope(p, oc, ckk);
-        detail::gemm_at_packed(dy_i, w.data(), dcols.data(), p, oc, ckk, /*accumulate=*/false,
-                               pool);
-      }
-      col2im_image(dcols.data(), c, h, ww, kh, kw, spec.stride, spec.pad,
-                   dx.data() + i * x_image);
-    }
-  });
-
-  dw = Tensor::zeros(w.shape());
-  db = Tensor::zeros({oc});
-  for (int i = 0; i < n; ++i) {
-    const float* dw_i = dw_parts.data() + static_cast<std::size_t>(i) * w_size;
-    for (std::size_t j = 0; j < w_size; ++j) dw[j] += dw_i[j];
-    const float* db_i = db_parts.data() + static_cast<std::size_t>(i) * oc;
-    for (int o = 0; o < oc; ++o) db[static_cast<std::size_t>(o)] += db_i[o];
-  }
+void conv2d_backward_gemm_params(const Tensor& x, const Tensor& w, const Tensor& dy,
+                                 ConvSpec spec, Tensor& dw, Tensor& db, ThreadPool& pool) {
+  backward_gemm(x, w, dy, spec, nullptr, dw, db, pool);
 }
 
 }  // namespace dnnperf::ref

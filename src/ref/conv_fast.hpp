@@ -17,7 +17,9 @@
 // thread-local [P, CKK] buffer and runs that image's two GEMMs inline (NCHW
 // dY_i already is [OC, P], so nothing is transposed). Per-image dW and db
 // are summed in image order, so the gradients are the same bits for any
-// thread count.
+// thread count. A network's first layer needs no dX (nothing consumes the
+// gradient with respect to the data), so conv2d_backward_gemm_params skips
+// the dX GEMM and the col2im.
 #pragma once
 
 #include "ref/gemm.hpp"
@@ -33,5 +35,10 @@ Tensor conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, Co
 /// Backward convolution via GEMMs. Same contract as conv2d_backward.
 void conv2d_backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec spec,
                           Tensor& dx, Tensor& dw, Tensor& db, ThreadPool& pool);
+
+/// conv2d_backward_gemm without the input gradient: only dw and db, the same
+/// bits as the full call's.
+void conv2d_backward_gemm_params(const Tensor& x, const Tensor& w, const Tensor& dy,
+                                 ConvSpec spec, Tensor& dw, Tensor& db, ThreadPool& pool);
 
 }  // namespace dnnperf::ref

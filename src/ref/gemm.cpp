@@ -4,6 +4,10 @@
 #include <chrono>
 #include <stdexcept>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 #include "ref/gemm_packed.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -62,6 +66,63 @@ PanelPair& thread_panels() {
   thread_local PanelPair panels{std::vector<float>(static_cast<std::size_t>(kMC) * kKC),
                                 std::vector<float>(static_cast<std::size_t>(kKC) * kNC)};
   return panels;
+}
+
+void micro_kernel_portable(int kc, const float* a, const float* b, float* acc) {
+  float c[kMR * kNR] = {};
+  for (int kk = 0; kk < kc; ++kk, a += kMR, b += kNR)
+    for (int i = 0; i < kMR; ++i) {
+      const float av = a[i];
+      for (int j = 0; j < kNR; ++j) c[i * kNR + j] += av * b[j];
+    }
+  for (int i = 0; i < kMR * kNR; ++i) acc[i] = c[i];
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+// Compiled for AVX2 whatever the build's -march; a multiply and a separate
+// add per product, as in the portable body (the build passes
+// -ffp-contract=off, so the compiler does not fuse them either). The eight
+// row accumulators are named variables: as an array, GCC -O2 keeps them in
+// memory (one load and one store per add).
+__attribute__((target("avx2"))) void micro_kernel_avx2(int kc, const float* a, const float* b,
+                                                       float* acc) {
+  static_assert(kMR == 8 && kNR == 8, "one ymm accumulator per tile row");
+  __m256 c0 = _mm256_setzero_ps(), c1 = c0, c2 = c0, c3 = c0, c4 = c0, c5 = c0, c6 = c0,
+         c7 = c0;
+  for (int kk = 0; kk < kc; ++kk, a += kMR, b += kNR) {
+    const __m256 bv = _mm256_loadu_ps(b);
+    c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_broadcast_ss(a + 0), bv));
+    c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_broadcast_ss(a + 1), bv));
+    c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_broadcast_ss(a + 2), bv));
+    c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_broadcast_ss(a + 3), bv));
+    c4 = _mm256_add_ps(c4, _mm256_mul_ps(_mm256_broadcast_ss(a + 4), bv));
+    c5 = _mm256_add_ps(c5, _mm256_mul_ps(_mm256_broadcast_ss(a + 5), bv));
+    c6 = _mm256_add_ps(c6, _mm256_mul_ps(_mm256_broadcast_ss(a + 6), bv));
+    c7 = _mm256_add_ps(c7, _mm256_mul_ps(_mm256_broadcast_ss(a + 7), bv));
+  }
+  _mm256_storeu_ps(acc + 0 * kNR, c0);
+  _mm256_storeu_ps(acc + 1 * kNR, c1);
+  _mm256_storeu_ps(acc + 2 * kNR, c2);
+  _mm256_storeu_ps(acc + 3 * kNR, c3);
+  _mm256_storeu_ps(acc + 4 * kNR, c4);
+  _mm256_storeu_ps(acc + 5 * kNR, c5);
+  _mm256_storeu_ps(acc + 6 * kNR, c6);
+  _mm256_storeu_ps(acc + 7 * kNR, c7);
+}
+#endif
+
+MicroKernel micro_kernel() {
+#if defined(__x86_64__) || defined(__i386__)
+  // A function-local static, so the CPU is queried at first use, after
+  // libgcc's CPU-model constructor has run, and only once.
+  static const MicroKernel kernel = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? &micro_kernel_avx2 : &micro_kernel_portable;
+  }();
+  return kernel;
+#else
+  return &micro_kernel_portable;
+#endif
 }
 
 GemmMetricsScope::GemmMetricsScope(int m, int k, int n)
@@ -162,20 +223,32 @@ void im2col_image(const float* x, int c, int h, int w, int kh, int kw, int strid
   const int oh = out_dim(h, kh, stride, pad);
   const int ow = out_dim(w, kw, stride, pad);
   for (int oy = 0; oy < oh; ++oy)
-    for (int ox = 0; ox < ow; ++ox)
+    for (int ox = 0; ox < ow; ++ox) {
+      const int y0 = oy * stride - pad, x0 = ox * stride - pad;
+      if (y0 >= 0 && y0 + kh <= h && x0 >= 0 && x0 + kw <= w) {
+        // The receptive field lies inside the image: no bounds checks.
+        const float* src = x + static_cast<std::size_t>(y0) * w + x0;
+        for (int ci = 0; ci < c; ++ci)
+          for (int ky = 0; ky < kh; ++ky, cols += kw) {
+            const float* xrow = src + (static_cast<std::size_t>(ci) * h + ky) * w;
+            for (int kx = 0; kx < kw; ++kx) cols[kx] = xrow[kx];
+          }
+        continue;
+      }
       for (int ci = 0; ci < c; ++ci)
         for (int ky = 0; ky < kh; ++ky, cols += kw) {
-          const int iy = oy * stride + ky - pad;
+          const int iy = y0 + ky;
           if (iy < 0 || iy >= h) {
             std::fill(cols, cols + kw, 0.0f);
             continue;
           }
           const float* xrow = x + (static_cast<std::size_t>(ci) * h + iy) * w;
           for (int kx = 0; kx < kw; ++kx) {
-            const int ix = ox * stride + kx - pad;
+            const int ix = x0 + kx;
             cols[kx] = ix >= 0 && ix < w ? xrow[ix] : 0.0f;
           }
         }
+    }
 }
 
 void col2im_image(const float* cols, int c, int h, int w, int kh, int kw, int stride, int pad,

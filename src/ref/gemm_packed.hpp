@@ -34,23 +34,14 @@
 
 #include "ref/threadpool.hpp"
 
-#if defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#endif
-
 namespace dnnperf::ref::detail {
 
-// Register tile. 6x16 keeps 12 ymm accumulators + 2 B vectors + 1 broadcast
-// in the 16 ymm registers when AVX2/FMA is available (the DNNPERF_NATIVE
-// build); the portable fallback uses 8x8 which compilers vectorize well at
-// 128-bit.
-#if defined(__AVX2__) && defined(__FMA__)
-inline constexpr int kMR = 6;
-inline constexpr int kNR = 16;
-#else
+// Register tile: 8x8, one 8-float accumulator row per A element. The AVX2
+// micro-kernel holds the whole tile in 8 ymm registers; the portable one is
+// plain C++. Both use the same tile, so packing, blocking and the summation
+// order do not depend on the instruction set.
 inline constexpr int kMR = 8;
 inline constexpr int kNR = 8;
-#endif
 
 // Cache blocking: the A panel (MC x KC floats) and B panel (KC x NC floats)
 // are the only scratch the driver allocates, one pair per thread.
@@ -96,37 +87,23 @@ class GemmMetricsScope {
 
 /// acc[MR*NR] = sum_{kk<kc} a_panel[kk*MR + i] * b_panel[kk*NR + j].
 /// Overwrites acc (no read-modify-write): k-block accumulation is the
-/// Store sink's business.
-inline void micro_kernel(int kc, const float* a, const float* b, float* acc) {
-#if defined(__AVX2__) && defined(__FMA__)
-  __m256 c[kMR][2];
-  for (int i = 0; i < kMR; ++i) {
-    c[i][0] = _mm256_setzero_ps();
-    c[i][1] = _mm256_setzero_ps();
-  }
-  for (int kk = 0; kk < kc; ++kk, a += kMR, b += kNR) {
-    const __m256 b0 = _mm256_loadu_ps(b);
-    const __m256 b1 = _mm256_loadu_ps(b + 8);
-    for (int i = 0; i < kMR; ++i) {
-      const __m256 av = _mm256_broadcast_ss(a + i);
-      c[i][0] = _mm256_fmadd_ps(av, b0, c[i][0]);
-      c[i][1] = _mm256_fmadd_ps(av, b1, c[i][1]);
-    }
-  }
-  for (int i = 0; i < kMR; ++i) {
-    _mm256_storeu_ps(acc + i * kNR, c[i][0]);
-    _mm256_storeu_ps(acc + i * kNR + 8, c[i][1]);
-  }
-#else
-  float c[kMR * kNR] = {};
-  for (int kk = 0; kk < kc; ++kk, a += kMR, b += kNR)
-    for (int i = 0; i < kMR; ++i) {
-      const float av = a[i];
-      for (int j = 0; j < kNR; ++j) c[i * kNR + j] += av * b[j];
-    }
-  for (int i = 0; i < kMR * kNR; ++i) acc[i] = c[i];
+/// Store sink's business. Every element sums its kc products in kk order,
+/// rounding each product before the add (no fused multiply-add), so every
+/// MicroKernel gives the same bits.
+using MicroKernel = void (*)(int kc, const float* a, const float* b, float* acc);
+
+/// The portable body: plain C++, the fallback on every host.
+void micro_kernel_portable(int kc, const float* a, const float* b, float* acc);
+
+#if defined(__x86_64__) || defined(__i386__)
+/// The AVX2 body (_mm256_mul_ps then _mm256_add_ps). Call it only where the
+/// CPU supports AVX2; micro_kernel() checks that.
+void micro_kernel_avx2(int kc, const float* a, const float* b, float* acc);
 #endif
-}
+
+/// The micro-kernel for this CPU: the AVX2 body where the CPU has AVX2, the
+/// portable one otherwise. Resolved once, on first call.
+MicroKernel micro_kernel();
 
 /// Blocked, packed GEMM loop nest: C[m,n] (+)= A[m,k] * B[k,n] with A/B/C
 /// abstracted behind the functors above. Parallel over the MC x NC macro-tile
@@ -145,6 +122,7 @@ void packed_gemm(int m, int n, int k, const PackA& pack_a, const PackB& pack_b,
   const std::size_t grain =
       std::max<std::size_t>(1, static_cast<std::size_t>(4.0e6 / cell_flops) + 1);
 
+  const MicroKernel kernel = micro_kernel();
   pool.parallel_for(cells, grain, [&](std::size_t cell_begin, std::size_t cell_end) {
     // This thread's panel pair: the only scratch memory of the whole GEMM.
     auto& [a_panel, b_panel] = thread_panels();
@@ -170,7 +148,7 @@ void packed_gemm(int m, int n, int k, const PackA& pack_a, const PackB& pack_b,
           for (int ip = 0; ip < mpanels; ++ip) {
             const float* ap = a_panel.data() + static_cast<std::size_t>(ip) * kc * kMR;
             float acc[kMR * kNR];
-            micro_kernel(kc, ap, bp, acc);
+            kernel(kc, ap, bp, acc);
             store(i0 + ip * kMR, j0 + jp * kNR, std::min(kMR, mh - ip * kMR),
                   std::min(kNR, nw - jp * kNR), acc, first);
           }

@@ -202,7 +202,7 @@ Tensor maxpool_forward(const Tensor& x, int k, int stride, Tensor& argmax, Threa
       for (int oy = 0; oy < oh; ++oy)
         for (int ox = 0; ox < ow; ++ox) {
           float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
+          int best_idx = 0;  // offset inside the (ni, ci) plane
           for (int ky = 0; ky < k; ++ky)
             for (int kx = 0; kx < k; ++kx) {
               const int iy = oy * stride + ky;
@@ -210,7 +210,7 @@ Tensor maxpool_forward(const Tensor& x, int k, int stride, Tensor& argmax, Threa
               const float v = x.at4(ni, ci, iy, ix);
               if (v > best) {
                 best = v;
-                best_idx = ((static_cast<std::size_t>(ni) * c + ci) * h + iy) * w + ix;
+                best_idx = iy * w + ix;
               }
             }
           y.at4(ni, ci, oy, ox) = best;
@@ -224,16 +224,19 @@ Tensor maxpool_forward(const Tensor& x, int k, int stride, Tensor& argmax, Threa
 Tensor maxpool_backward(const Tensor& x, const Tensor& dy, const Tensor& argmax,
                         ThreadPool& pool) {
   Tensor dx = Tensor::zeros(x.shape());
-  // Serial scatter: argmax indices may collide across output cells only
+  // Serial scatter: argmax offsets may collide across output cells only
   // within one (n,c) plane; parallelize over planes.
   const int n = x.dim(0), c = x.dim(1);
+  const std::size_t plane_in = static_cast<std::size_t>(x.dim(2)) * x.dim(3);
   const std::size_t plane_out = dy.size() / (static_cast<std::size_t>(n) * c);
   pool.parallel_for(static_cast<std::size_t>(n) * c, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t plane = begin; plane < end; ++plane)
+    for (std::size_t plane = begin; plane < end; ++plane) {
+      float* dx_plane = dx.data() + plane * plane_in;
       for (std::size_t j = 0; j < plane_out; ++j) {
         const std::size_t src = plane * plane_out + j;
-        dx[static_cast<std::size_t>(argmax[src])] += dy[src];
+        dx_plane[static_cast<std::size_t>(argmax[src])] += dy[src];
       }
+    }
   });
   return dx;
 }

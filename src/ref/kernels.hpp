@@ -36,8 +36,10 @@ Tensor relu_forward(const Tensor& x, ThreadPool& pool);
 /// dx = dy where x > 0.
 Tensor relu_backward(const Tensor& x, const Tensor& dy, ThreadPool& pool);
 
-/// Max pooling; `argmax` (same shape as y, flat indices into x) is produced
-/// for the backward pass.
+/// Max pooling; `argmax` (same shape as y) is produced for the backward
+/// pass. Each entry is the winner's offset iy*W + ix inside its own (n, c)
+/// plane of x, so it stays exact in a float up to 2^24-element planes
+/// whatever the batch and channel count.
 Tensor maxpool_forward(const Tensor& x, int k, int stride, Tensor& argmax, ThreadPool& pool);
 Tensor maxpool_backward(const Tensor& x, const Tensor& dy, const Tensor& argmax,
                         ThreadPool& pool);

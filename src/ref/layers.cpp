@@ -27,6 +27,10 @@ Tensor Conv2dLayer::backward(const Tensor& dy) {
   return dx;
 }
 
+void Conv2dLayer::backward_params(const Tensor& dy) {
+  conv2d_backward_gemm_params(input_, weight, dy, spec_, dweight, dbias, pool_);
+}
+
 std::vector<ParamRef> Conv2dLayer::params() {
   return {{name_ + "/w", &weight, &dweight}, {name_ + "/b", &bias, &dbias}};
 }

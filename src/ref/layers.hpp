@@ -28,6 +28,9 @@ class Layer {
   virtual Tensor forward(const Tensor& x) = 0;
   /// Gradient wrt the input; fills parameter gradients.
   virtual Tensor backward(const Tensor& dy) = 0;
+  /// Fills parameter gradients only: the network's first layer, whose input
+  /// gradient nothing consumes. Layers that can skip computing it override.
+  virtual void backward_params(const Tensor& dy) { (void)backward(dy); }
   virtual std::vector<ParamRef> params() { return {}; }
   virtual std::string name() const = 0;
 };
@@ -38,6 +41,7 @@ class Conv2dLayer : public Layer {
               util::Rng& rng);
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   std::vector<ParamRef> params() override;
   std::string name() const override { return name_; }
 

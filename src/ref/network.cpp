@@ -34,8 +34,10 @@ Tensor Network::forward(const Tensor& x) {
 }
 
 void Network::backward(const Tensor& dy) {
+  if (layers_.empty()) return;
   Tensor cur = dy;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) cur = (*it)->backward(cur);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) cur = layers_[i]->backward(cur);
+  layers_.front()->backward_params(cur);
 }
 
 std::vector<ParamRef> Network::params() {

@@ -26,7 +26,8 @@ class Network {
   }
 
   Tensor forward(const Tensor& x);
-  /// Backpropagates dy through all layers, filling parameter gradients.
+  /// Backpropagates dy through all layers, filling parameter gradients. The
+  /// first layer computes no input gradient (Layer::backward_params).
   void backward(const Tensor& dy);
 
   std::vector<ParamRef> params();

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 
 #include "analysis/analyze.hpp"
 #include "hvd/policy.hpp"
+#include "ref/network.hpp"
 #include "ref/threadpool.hpp"
 #include "train/real_trainer.hpp"
 #include "util/diag.hpp"
@@ -516,6 +518,64 @@ TEST(MetricsTraining, TwoRankRequestedVsIssuedParity) {
             static_cast<std::uint64_t>(cfg.steps) * cfg.ranks);
   EXPECT_GT(require(snap, hvd::metric_names::kCycleTime).hist.count, 0u);
   EXPECT_GT(require(snap, "train_images_total").count, 0u);
+}
+
+/// make_tiny_cnn's layers (no BN), kept so a test can run every layer's full
+/// backward itself.
+struct TinyCnn {
+  ref::Network net;
+  std::vector<ref::Layer*> layers;
+};
+
+TinyCnn tiny_cnn(ref::ThreadPool& pool) {
+  util::Rng rng(11);
+  TinyCnn t;
+  t.layers = {&t.net.add<ref::Conv2dLayer>("conv1", 3, 8, 3, ref::ConvSpec{1, 1}, pool, rng),
+              &t.net.add<ref::ReLULayer>("relu1", pool),
+              &t.net.add<ref::MaxPoolLayer>("pool1", 2, 2, pool),
+              &t.net.add<ref::Conv2dLayer>("conv2", 8, 16, 3, ref::ConvSpec{1, 1}, pool, rng),
+              &t.net.add<ref::ReLULayer>("relu2", pool),
+              &t.net.add<ref::GlobalAvgPoolLayer>("gap"),
+              &t.net.add<ref::DenseLayer>("fc", 16, 10, pool, rng)};
+  return t;
+}
+
+TEST(MetricsTraining, FirstLayerSkipsOnlyItsInputGradientGemms) {
+  // Network::backward computes no input gradient for the first layer: one
+  // step runs exactly one GEMM per image fewer (conv1's dX) than every
+  // layer's full backward, and every parameter gradient is the same bits.
+  SKIP_IF_COMPILED_OUT();
+  ScopedMetricsState state;
+  ref::ThreadPool pool(2);
+  constexpr int kBatch = 4;
+  const auto batch = ref::synthetic_batch(5, 0, 0, kBatch, 3, 8, 10, pool);
+  const auto gemm_calls = [] { return require(metrics::snapshot(), "ref_gemm_calls_total").count; };
+
+  TinyCnn skip = tiny_cnn(pool);
+  ref::Tensor dlogits;
+  (void)ref::softmax_xent(skip.net.forward(batch.images), batch.labels, dlogits);
+  const std::uint64_t skip_start = gemm_calls();
+  skip.net.backward(dlogits);
+  const std::uint64_t skip_calls = gemm_calls() - skip_start;
+
+  TinyCnn full = tiny_cnn(pool);
+  (void)ref::softmax_xent(full.net.forward(batch.images), batch.labels, dlogits);
+  const std::uint64_t full_start = gemm_calls();
+  ref::Tensor cur = dlogits;
+  for (auto it = full.layers.rbegin(); it != full.layers.rend(); ++it) cur = (*it)->backward(cur);
+  const std::uint64_t full_calls = gemm_calls() - full_start;
+
+  EXPECT_EQ(full_calls - skip_calls, static_cast<std::uint64_t>(kBatch));
+  const auto skip_params = skip.net.params();
+  const auto full_params = full.net.params();
+  ASSERT_EQ(skip_params.size(), full_params.size());
+  for (std::size_t i = 0; i < skip_params.size(); ++i) {
+    SCOPED_TRACE(skip_params[i].name);
+    const auto a = skip_params[i].grad->flat();
+    const auto b = full_params[i].grad->flat();
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+  }
 }
 
 TEST(MetricsTraining, NoCommSingleProcessRequestsNothing) {

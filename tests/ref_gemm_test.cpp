@@ -9,6 +9,7 @@
 
 #include "ref/conv_fast.hpp"
 #include "ref/gemm.hpp"
+#include "ref/gemm_packed.hpp"
 
 namespace dnnperf::ref {
 namespace {
@@ -38,9 +39,9 @@ const char* instance_suffix(Pool p) { return p == Pool::serial ? "naive" : "pack
 
 const char* pool_name(Pool p) { return p == Pool::serial ? "serial pool" : "threaded pool"; }
 
-// Shapes include ragged cases: m/n/k that are not multiples of the register
-// tile (8x8 or 6x16), the 96-row/240-col macro tiles, or the 256-deep k
-// block — plus k > 256 so multi-k-block accumulation is exercised.
+// Shapes include ragged cases: m/n/k that are not multiples of the 8x8
+// register tile, the 96-row/256-col macro tiles, or the 256-deep k block —
+// plus k > 256 so multi-k-block accumulation is exercised.
 using GemmCase = std::tuple<std::tuple<int, int, int>, Pool>;
 
 class GemmShapeParam : public ::testing::TestWithParam<GemmCase> {};
@@ -268,9 +269,12 @@ struct BwdResult {
   Tensor dx, dw, db;
 };
 
-/// The gradients of one case, by conv2d_backward_gemm or (`direct`) by the
-/// direct conv2d_backward oracle.
-BwdResult conv_backward_case(const BwdCase& cs, int threads, bool direct) {
+/// Which backward computes a case: the direct conv2d_backward oracle,
+/// conv2d_backward_gemm, or conv2d_backward_gemm_params (no dx).
+enum class Bwd { direct, gemm, gemm_params };
+
+/// The gradients of one case.
+BwdResult conv_backward_case(const BwdCase& cs, int threads, Bwd path) {
   util::Rng rng(41);
   const Tensor x = Tensor::randn({cs.n, cs.c, cs.hw, cs.hw}, rng);
   const Tensor w = Tensor::randn({cs.oc, cs.c, 3, 3}, rng, 0.3f);
@@ -279,10 +283,17 @@ BwdResult conv_backward_case(const BwdCase& cs, int threads, bool direct) {
   ThreadPool pool(threads);
   const ConvSpec spec{cs.stride, cs.pad};
   BwdResult r;
-  if (direct)
-    conv2d_backward(x, w, dy, spec, r.dx, r.dw, r.db, pool);
-  else
-    conv2d_backward_gemm(x, w, dy, spec, r.dx, r.dw, r.db, pool);
+  switch (path) {
+    case Bwd::direct:
+      conv2d_backward(x, w, dy, spec, r.dx, r.dw, r.db, pool);
+      break;
+    case Bwd::gemm:
+      conv2d_backward_gemm(x, w, dy, spec, r.dx, r.dw, r.db, pool);
+      break;
+    case Bwd::gemm_params:
+      conv2d_backward_gemm_params(x, w, dy, spec, r.dw, r.db, pool);
+      break;
+  }
   return r;
 }
 
@@ -296,11 +307,11 @@ bool same_bits(const Tensor& a, const Tensor& b) {
 
 TEST(ConvGemm, PerImageBackwardMatchesDirectOracle) {
   for (const BwdCase& cs : kBwdCases) {
-    const BwdResult oracle = conv_backward_case(cs, 1, /*direct=*/true);
+    const BwdResult oracle = conv_backward_case(cs, 1, Bwd::direct);
     for (int threads : {1, 3}) {
       SCOPED_TRACE("n=" + std::to_string(cs.n) + " stride=" + std::to_string(cs.stride) +
                    " threads=" + std::to_string(threads));
-      const BwdResult got = conv_backward_case(cs, threads, /*direct=*/false);
+      const BwdResult got = conv_backward_case(cs, threads, Bwd::gemm);
       EXPECT_LT(max_abs_diff(oracle.dx, got.dx), 1e-4f);
       EXPECT_LT(max_abs_diff(oracle.dw, got.dw), 1e-4f);
       EXPECT_LT(max_abs_diff(oracle.db, got.db), 1e-4f);
@@ -313,12 +324,48 @@ TEST(ConvGemm, PerImageBackwardMatchesDirectOracle) {
 TEST(ConvGemm, BackwardBitsIndependentOfThreadCount) {
   for (const BwdCase& cs : kBwdCases) {
     SCOPED_TRACE("n=" + std::to_string(cs.n) + " stride=" + std::to_string(cs.stride));
-    const BwdResult one = conv_backward_case(cs, 1, /*direct=*/false);
-    const BwdResult three = conv_backward_case(cs, 3, /*direct=*/false);
+    const BwdResult one = conv_backward_case(cs, 1, Bwd::gemm);
+    const BwdResult three = conv_backward_case(cs, 3, Bwd::gemm);
     EXPECT_TRUE(same_bits(one.dx, three.dx));
     EXPECT_TRUE(same_bits(one.dw, three.dw));
     EXPECT_TRUE(same_bits(one.db, three.db));
   }
+}
+
+// The first layer's backward skips dX; its dW and db must be the same bits
+// as the full call's, on one thread and on three.
+TEST(ConvGemm, ParamsOnlyBackwardMatchesFullBitForBit) {
+  for (const BwdCase& cs : kBwdCases)
+    for (int threads : {1, 3}) {
+      SCOPED_TRACE("n=" + std::to_string(cs.n) + " stride=" + std::to_string(cs.stride) +
+                   " threads=" + std::to_string(threads));
+      const BwdResult full = conv_backward_case(cs, threads, Bwd::gemm);
+      const BwdResult params = conv_backward_case(cs, threads, Bwd::gemm_params);
+      EXPECT_TRUE(same_bits(full.dw, params.dw));
+      EXPECT_TRUE(same_bits(full.db, params.db));
+    }
+}
+
+// The AVX2 micro-kernel adds each rounded product in kk order, exactly as the
+// portable one does, so the two give the same bits on random signed panels
+// (kc = 1, a ragged kc, one tile, the 27-deep 3x3x3 conv1, a full k-block).
+TEST(GemmMicroKernel, Avx2MatchesPortableBitForBit) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "host CPU has no AVX2";
+  EXPECT_EQ(detail::micro_kernel(), &detail::micro_kernel_avx2);
+  util::Rng rng(44);
+  for (int kc : {1, 5, 8, 27, 256}) {
+    SCOPED_TRACE("kc=" + std::to_string(kc));
+    const Tensor a = Tensor::randn({kc, detail::kMR}, rng);
+    const Tensor b = Tensor::randn({kc, detail::kNR}, rng);
+    Tensor portable({detail::kMR, detail::kNR}), avx2({detail::kMR, detail::kNR});
+    detail::micro_kernel_portable(kc, a.data(), b.data(), portable.data());
+    detail::micro_kernel_avx2(kc, a.data(), b.data(), avx2.data());
+    EXPECT_TRUE(same_bits(portable, avx2));
+  }
+#else
+  GTEST_SKIP() << "not an x86 build";
+#endif
 }
 
 // Larger-than-one-macro-tile conv: N*OH*OW = 2*16*16 = 512 rows > MC and

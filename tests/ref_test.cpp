@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "ref/kernels.hpp"
 #include "ref/network.hpp"
@@ -235,6 +237,46 @@ TEST(GradCheck, MaxPool) {
                return maxpool_forward(xx, 2, 2, am, pool);
              },
              cot);
+}
+
+TEST(Kernels, MaxPoolArgmaxIsAnOffsetInsideThePlane) {
+  // argmax holds iy*W + ix inside the winner's own (n, c) plane, not a flat
+  // index into the whole tensor (a float cannot hold those exactly past 2^24
+  // elements); backward adds the plane base. The overlapping 3x3/1 windows
+  // route several outputs to one input.
+  ThreadPool pool(2);
+  util::Rng rng(12);
+  const int n = 3, c = 4, h = 7, w = 6;
+  const Tensor x = Tensor::randn({n, c, h, w}, rng);
+  for (const auto& [k, stride] : {std::pair{2, 2}, std::pair{3, 1}}) {
+    SCOPED_TRACE("k=" + std::to_string(k) + " stride=" + std::to_string(stride));
+    Tensor argmax;
+    const Tensor y = maxpool_forward(x, k, stride, argmax, pool);
+    const Tensor dy = Tensor::randn(y.shape(), rng);
+    // Direct reference: scan each window in (ky, kx) order, first max wins.
+    Tensor expected = Tensor::zeros(x.shape());
+    for (int ni = 0; ni < n; ++ni)
+      for (int ci = 0; ci < c; ++ci)
+        for (int oy = 0; oy < y.dim(2); ++oy)
+          for (int ox = 0; ox < y.dim(3); ++ox) {
+            int by = 0, bx = 0;
+            float best = -std::numeric_limits<float>::infinity();
+            for (int ky = 0; ky < k; ++ky)
+              for (int kx = 0; kx < k; ++kx) {
+                const float v = x.at4(ni, ci, oy * stride + ky, ox * stride + kx);
+                if (v > best) {
+                  best = v;
+                  by = oy * stride + ky;
+                  bx = ox * stride + kx;
+                }
+              }
+            const float am = argmax.at4(ni, ci, oy, ox);
+            EXPECT_LT(am, static_cast<float>(h * w));
+            EXPECT_EQ(am, static_cast<float>(by * w + bx));
+            expected.at4(ni, ci, by, bx) += dy.at4(ni, ci, oy, ox);
+          }
+    EXPECT_EQ(max_abs_diff(maxpool_backward(x, dy, argmax, pool), expected), 0.0f);
+  }
 }
 
 TEST(GradCheck, GlobalAvgPool) {

@@ -325,20 +325,9 @@ TEST(RealTrainer, ThreadCountDoesNotChangeBits) {
 TEST(RealTrainer, GoldenLossesAndParametersAreBitExact) {
   // Exact losses and a hash of the exact final parameters, SP and 2-rank MP,
   // on the default and the train_compute shapes: refactors of the training
-  // loop and the kernels must not move a single bit. The bits depend on the
-  // GEMM microkernel, so the AVX2/FMA build has its own table.
-#if defined(__AVX2__) && defined(__FMA__)
-  const GoldenRun runs[] = {
-      {"default MP", false, RealTrainConfig{}, {0x1.c12428p+1f, 0x1.ad47fp+0f, 0x1.59ab02p+0f},
-       0xb809a8218f6eadb9ull},
-      {"default SP", true, RealTrainConfig{}, {0x1.c12428p+1f, 0x1.ad47fp+0f, 0x1.59ab02p+0f},
-       0x1a6b666e498b2f37ull},
-      {"compute MP", false, compute_shape(), {0x1.adf3ccp+2f, 0x1.ebb252p+0f},
-       0x18c254461c1a6912ull},
-      {"compute SP", true, compute_shape(), {0x1.adf3ccp+2f, 0x1.ebb254p+0f},
-       0x95c77af901b809c3ull},
-  };
-#else
+  // loop and the kernels must not move a single bit. The micro-kernels round
+  // every product and the build forbids FMA contraction, so this one table
+  // holds for the default and the -march=native build alike.
   const GoldenRun runs[] = {
       {"default MP", false, RealTrainConfig{}, {0x1.c1242cp+1f, 0x1.ad47fp+0f, 0x1.59ab02p+0f},
        0x6ff97c8137b55eb3ull},
@@ -349,7 +338,6 @@ TEST(RealTrainer, GoldenLossesAndParametersAreBitExact) {
       {"compute SP", true, compute_shape(), {0x1.adf3ccp+2f, 0x1.ebb254p+0f},
        0x1f61b7bc59edd4c1ull},
   };
-#endif
   for (const auto& g : runs) {
     SCOPED_TRACE(g.what);
     const auto r = g.single ? run_real_training_single(g.cfg) : run_real_training(g.cfg);
