@@ -1,5 +1,6 @@
 #include "ref/conv_fast.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -19,8 +20,8 @@ int out_dim(int in, int k, int stride, int pad) {
 /// Implicit-GEMM forward: the im2col matrix exists only as the per-thread
 /// MC x KC A-panel the packer fills on demand; bias is fused into the store
 /// epilogue and the output is written straight into NCHW.
-Tensor forward_gemm_packed(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
-                           ThreadPool& pool) {
+void forward_gemm_packed(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
+                         Tensor& y, ThreadPool& pool) {
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), iw = x.dim(3);
   const int oc = w.dim(0), kh = w.dim(2), kw = w.dim(3);
   const int oh = out_dim(h, kh, spec.stride, spec.pad);
@@ -45,7 +46,7 @@ Tensor forward_gemm_packed(const Tensor& x, const Tensor& w, const Tensor& b, Co
   const float* px = x.data();
   const float* pw = w.data();
   const float* pb = b.data();
-  Tensor y({n, oc, oh, ow});
+  y.resize({n, oc, oh, ow});  // every element is stored by the first k-block
   float* py = y.data();
   const std::size_t plane = static_cast<std::size_t>(oh) * ow;
 
@@ -124,7 +125,6 @@ Tensor forward_gemm_packed(const Tensor& x, const Tensor& w, const Tensor& b, Co
   };
 
   detail::packed_gemm(m, oc, k, pack_a, pack_b, store, pool);
-  return y;
 }
 
 /// The per-image backward pass; the dX GEMM and col2im run only when `dx`
@@ -146,17 +146,25 @@ void backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec 
   const std::size_t w_size = static_cast<std::size_t>(oc) * ckk;
 
   // Per-image weight/bias gradients, summed in image order below so the
-  // result is the same bits for any thread count.
-  std::vector<float> dw_parts(static_cast<std::size_t>(n) * w_size);
-  std::vector<float> db_parts(static_cast<std::size_t>(n) * oc);
-  if (dx != nullptr) *dx = Tensor::zeros(x.shape());
+  // result is the same bits for any thread count. They belong to the
+  // calling thread (the lambda below runs on workers), so a training loop
+  // reuses them from step to step.
+  thread_local Tensor tls_dw_parts, tls_db_parts;
+  Tensor& dw_parts = tls_dw_parts;
+  Tensor& db_parts = tls_db_parts;
+  dw_parts.resize({n, static_cast<int>(w_size)});
+  db_parts.resize({n, oc});
+  if (dx != nullptr) dx->resize(x.shape());
 
   // Images are independent. The GEMMs inside run inline on this worker (the
   // pool's re-entrancy guard); with one image they run on the whole pool.
   pool.parallel_for(static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
-    thread_local std::vector<float> cols, dcols;  // [P, CKK] each
-    cols.resize(static_cast<std::size_t>(p) * ckk);
-    if (dx != nullptr) dcols.resize(static_cast<std::size_t>(p) * ckk);
+    // [P, CKK] each, per thread and only ever grown. They come from the
+    // buffer cache, so a later pool's threads reuse an exited one's pages.
+    thread_local ScratchBuffer cols, dcols;
+    const std::size_t need = static_cast<std::size_t>(p) * ckk;
+    if (cols.size() < need) cols = ScratchBuffer(need);
+    if (dx != nullptr && dcols.size() < need) dcols = ScratchBuffer(need);
     for (std::size_t i = begin; i < end; ++i) {
       // NCHW dY is already [OC, P] per image.
       const float* dy_i = dy.data() + i * dy_image;
@@ -178,13 +186,16 @@ void backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec 
         detail::gemm_at_packed(dy_i, w.data(), dcols.data(), p, oc, ckk, /*accumulate=*/false,
                                pool);
       }
-      col2im_image(dcols.data(), c, h, ww, kh, kw, spec.stride, spec.pad,
-                   dx->data() + i * x_image);
+      float* dx_i = dx->data() + i * x_image;
+      std::fill(dx_i, dx_i + x_image, 0.0f);
+      col2im_image(dcols.data(), c, h, ww, kh, kw, spec.stride, spec.pad, dx_i);
     }
   });
 
-  dw = Tensor::zeros(w.shape());
-  db = Tensor::zeros({oc});
+  dw.resize(w.shape());
+  db.resize({oc});
+  dw.zero();
+  db.zero();
   for (int i = 0; i < n; ++i) {
     const float* dw_i = dw_parts.data() + static_cast<std::size_t>(i) * w_size;
     for (std::size_t j = 0; j < w_size; ++j) dw[j] += dw_i[j];
@@ -195,8 +206,8 @@ void backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec 
 
 }  // namespace
 
-Tensor conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
-                           ThreadPool& pool) {
+void conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
+                         Tensor& y, ThreadPool& pool) {
   if (x.rank() != 4 || w.rank() != 4) throw std::invalid_argument("conv_fast: rank-4 inputs");
   if (w.dim(1) != x.dim(1)) throw std::invalid_argument("conv_fast: channel mismatch");
   if (b.size() != static_cast<std::size_t>(w.dim(0)))
@@ -214,7 +225,14 @@ Tensor conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, Co
                       .str());
     span.set_flops(2.0 * x.dim(0) * oh * ow * w.dim(0) * x.dim(1) * w.dim(2) * w.dim(3));
   }
-  return forward_gemm_packed(x, w, b, spec, pool);
+  forward_gemm_packed(x, w, b, spec, y, pool);
+}
+
+Tensor conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
+                           ThreadPool& pool) {
+  Tensor y;
+  conv2d_forward_gemm(x, w, b, spec, y, pool);
+  return y;
 }
 
 void conv2d_backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec spec,

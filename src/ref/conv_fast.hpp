@@ -27,12 +27,15 @@
 
 namespace dnnperf::ref {
 
-/// Forward convolution via implicit im2col + GEMM. Same contract as
-/// conv2d_forward.
+/// Forward convolution via implicit im2col + GEMM into `y` (resized, fully
+/// overwritten). Same contract as conv2d_forward.
+void conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
+                         Tensor& y, ThreadPool& pool);
 Tensor conv2d_forward_gemm(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
                            ThreadPool& pool);
 
-/// Backward convolution via GEMMs. Same contract as conv2d_backward.
+/// Backward convolution via GEMMs. Same contract as conv2d_backward; dx, dw
+/// and db are resized, so buffers kept across calls are reused.
 void conv2d_backward_gemm(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec spec,
                           Tensor& dx, Tensor& dw, Tensor& db, ThreadPool& pool);
 

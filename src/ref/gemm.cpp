@@ -63,8 +63,9 @@ struct RowMajorStore {
 namespace detail {
 
 PanelPair& thread_panels() {
-  thread_local PanelPair panels{std::vector<float>(static_cast<std::size_t>(kMC) * kKC),
-                                std::vector<float>(static_cast<std::size_t>(kKC) * kNC)};
+  // Uninitialized: the packers write every element a micro-kernel reads.
+  thread_local PanelPair panels{ScratchBuffer(static_cast<std::size_t>(kMC) * kKC),
+                                ScratchBuffer(static_cast<std::size_t>(kKC) * kNC)};
   return panels;
 }
 

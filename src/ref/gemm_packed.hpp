@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "ref/tensor.hpp"
 #include "ref/threadpool.hpp"
 
 namespace dnnperf::ref::detail {
@@ -50,8 +51,8 @@ inline constexpr int kMC = (96 / kMR) * kMR;  // multiple of MR
 inline constexpr int kNC = (256 / kNR) * kNR;  // multiple of NR
 
 struct PanelPair {
-  std::vector<float> a;  ///< MC x KC
-  std::vector<float> b;  ///< KC x NC
+  ScratchBuffer a;  ///< MC x KC
+  ScratchBuffer b;  ///< KC x NC
 };
 
 /// The calling thread's packing panels, sized on first use. One pair per

@@ -22,6 +22,31 @@ void check_rank(const Tensor& t, int rank, const char* what) {
   if (t.rank() != rank) throw std::invalid_argument(std::string(what) + ": bad rank");
 }
 
+/// One output row `oy` of one max-pool plane: y/argmax[0, ow) from the
+/// plane xp of width w. Each cell scans its window in (ky, kx) order through
+/// row pointers, and keeps the max and its offset with selects (a max and
+/// a conditional move), not a branch that random data mispredicts half the
+/// time.
+void maxpool_row(const float* __restrict xp, int w, int oy, int k, int stride, int ow,
+                 float* __restrict y, float* __restrict argmax) {
+  for (int ox = 0; ox < ow; ++ox) {
+    float best = -std::numeric_limits<float>::infinity();
+    int best_idx = 0;  // offset inside the plane
+    for (int ky = 0; ky < k; ++ky) {
+      const int row = (oy * stride + ky) * w + ox * stride;
+      const float* xrow = xp + row;
+      for (int kx = 0; kx < k; ++kx) {
+        const float v = xrow[kx];
+        const bool wins = v > best;
+        best = wins ? v : best;
+        best_idx = wins ? row + kx : best_idx;
+      }
+    }
+    y[ox] = best;
+    argmax[ox] = static_cast<float>(best_idx);
+  }
+}
+
 }  // namespace
 
 Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpec spec,
@@ -127,7 +152,8 @@ void conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpe
   });
 }
 
-Tensor dense_forward(const Tensor& x, const Tensor& w, const Tensor& b, ThreadPool& pool) {
+void dense_forward(const Tensor& x, const Tensor& w, const Tensor& b, Tensor& y,
+                   ThreadPool& pool) {
   check_rank(x, 2, "dense x");
   check_rank(w, 2, "dense w");
   const int n = x.dim(0), f = x.dim(1), o = w.dim(1);
@@ -138,20 +164,26 @@ Tensor dense_forward(const Tensor& x, const Tensor& w, const Tensor& b, ThreadPo
   span.set_flops(2.0 * n * f * o);
   // Seed every output row with the bias, then accumulate x*w through the
   // packed GEMM.
-  Tensor y({n, o});
+  y.resize({n, o});
   for (int ni = 0; ni < n; ++ni)
     for (int oi = 0; oi < o; ++oi)
       y[static_cast<std::size_t>(ni) * o + oi] = b[static_cast<std::size_t>(oi)];
   gemm(x, w, y, pool, /*accumulate=*/true);
+}
+
+Tensor dense_forward(const Tensor& x, const Tensor& w, const Tensor& b, ThreadPool& pool) {
+  Tensor y;
+  dense_forward(x, w, b, y, pool);
   return y;
 }
 
 void dense_backward(const Tensor& x, const Tensor& w, const Tensor& dy, Tensor& dx, Tensor& dw,
                     Tensor& db, ThreadPool& pool) {
   const int n = x.dim(0), f = x.dim(1), o = w.dim(1);
-  dx = Tensor::zeros(x.shape());
-  dw = Tensor::zeros(w.shape());
-  db = Tensor::zeros({o});
+  dx.resize(x.shape());
+  dw.resize(w.shape());
+  db.resize({o});
+  db.zero();
   for (int ni = 0; ni < n; ++ni)
     for (int oi = 0; oi < o; ++oi)
       db[static_cast<std::size_t>(oi)] += dy[static_cast<std::size_t>(ni) * o + oi];
@@ -169,23 +201,34 @@ void dense_backward(const Tensor& x, const Tensor& w, const Tensor& dy, Tensor& 
   });
 }
 
-Tensor relu_forward(const Tensor& x, ThreadPool& pool) {
-  Tensor y(x.shape());
+void relu_forward(const Tensor& x, Tensor& y, ThreadPool& pool) {
+  y.resize(x.shape());
   pool.parallel_for(x.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
   });
+}
+
+Tensor relu_forward(const Tensor& x, ThreadPool& pool) {
+  Tensor y;
+  relu_forward(x, y, pool);
   return y;
 }
 
-Tensor relu_backward(const Tensor& x, const Tensor& dy, ThreadPool& pool) {
-  Tensor dx(x.shape());
+void relu_backward(const Tensor& x, const Tensor& dy, Tensor& dx, ThreadPool& pool) {
+  dx.resize(x.shape());
   pool.parallel_for(x.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) dx[i] = x[i] > 0.0f ? dy[i] : 0.0f;
   });
+}
+
+Tensor relu_backward(const Tensor& x, const Tensor& dy, ThreadPool& pool) {
+  Tensor dx;
+  relu_backward(x, dy, dx, pool);
   return dx;
 }
 
-Tensor maxpool_forward(const Tensor& x, int k, int stride, Tensor& argmax, ThreadPool& pool) {
+void maxpool_forward(const Tensor& x, int k, int stride, Tensor& y, Tensor& argmax,
+                     ThreadPool& pool) {
   check_rank(x, 4, "maxpool x");
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int oh = out_dim(h, k, stride, 0);
@@ -193,57 +236,60 @@ Tensor maxpool_forward(const Tensor& x, int k, int stride, Tensor& argmax, Threa
   DNNPERF_TRACE_SPAN_VAR(span, "ref", "maxpool_fwd");
   if (span.active())
     span.set_args(std::move(util::trace::Args().add("n", n).add("c", c).add("k", k)).str());
-  Tensor y({n, c, oh, ow});
-  argmax = Tensor::zeros({n, c, oh, ow});
+  y.resize({n, c, oh, ow});
+  argmax.resize({n, c, oh, ow});
+  const std::size_t plane_in = static_cast<std::size_t>(h) * w;
+  const std::size_t plane_out = static_cast<std::size_t>(oh) * ow;
+  const float* px = x.data();
+  float* py = y.data();
+  float* pa = argmax.data();
   pool.parallel_for(static_cast<std::size_t>(n) * c, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      const int ni = static_cast<int>(idx) / c;
-      const int ci = static_cast<int>(idx) % c;
-      for (int oy = 0; oy < oh; ++oy)
-        for (int ox = 0; ox < ow; ++ox) {
-          float best = -std::numeric_limits<float>::infinity();
-          int best_idx = 0;  // offset inside the (ni, ci) plane
-          for (int ky = 0; ky < k; ++ky)
-            for (int kx = 0; kx < k; ++kx) {
-              const int iy = oy * stride + ky;
-              const int ix = ox * stride + kx;
-              const float v = x.at4(ni, ci, iy, ix);
-              if (v > best) {
-                best = v;
-                best_idx = iy * w + ix;
-              }
-            }
-          y.at4(ni, ci, oy, ox) = best;
-          argmax.at4(ni, ci, oy, ox) = static_cast<float>(best_idx);
-        }
+    for (std::size_t plane = begin; plane < end; ++plane) {
+      const float* xp = px + plane * plane_in;
+      for (int oy = 0; oy < oh; ++oy) {
+        const std::size_t row = plane * plane_out + static_cast<std::size_t>(oy) * ow;
+        maxpool_row(xp, w, oy, k, stride, ow, py + row, pa + row);
+      }
     }
   });
+}
+
+Tensor maxpool_forward(const Tensor& x, int k, int stride, Tensor& argmax, ThreadPool& pool) {
+  Tensor y;
+  maxpool_forward(x, k, stride, y, argmax, pool);
   return y;
 }
 
-Tensor maxpool_backward(const Tensor& x, const Tensor& dy, const Tensor& argmax,
-                        ThreadPool& pool) {
-  Tensor dx = Tensor::zeros(x.shape());
+void maxpool_backward(const std::vector<int>& x_shape, const Tensor& dy, const Tensor& argmax,
+                      Tensor& dx, ThreadPool& pool) {
+  dx.resize(x_shape);
   // Serial scatter: argmax offsets may collide across output cells only
   // within one (n,c) plane; parallelize over planes.
-  const int n = x.dim(0), c = x.dim(1);
-  const std::size_t plane_in = static_cast<std::size_t>(x.dim(2)) * x.dim(3);
+  const int n = dx.dim(0), c = dx.dim(1);
+  const std::size_t plane_in = static_cast<std::size_t>(dx.dim(2)) * dx.dim(3);
   const std::size_t plane_out = dy.size() / (static_cast<std::size_t>(n) * c);
   pool.parallel_for(static_cast<std::size_t>(n) * c, [&](std::size_t begin, std::size_t end) {
     for (std::size_t plane = begin; plane < end; ++plane) {
       float* dx_plane = dx.data() + plane * plane_in;
+      std::fill(dx_plane, dx_plane + plane_in, 0.0f);
       for (std::size_t j = 0; j < plane_out; ++j) {
         const std::size_t src = plane * plane_out + j;
         dx_plane[static_cast<std::size_t>(argmax[src])] += dy[src];
       }
     }
   });
+}
+
+Tensor maxpool_backward(const Tensor& x, const Tensor& dy, const Tensor& argmax,
+                        ThreadPool& pool) {
+  Tensor dx;
+  maxpool_backward(x.shape(), dy, argmax, dx, pool);
   return dx;
 }
 
-Tensor global_avg_pool_forward(const Tensor& x) {
+void global_avg_pool_forward(const Tensor& x, Tensor& y) {
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  Tensor y({n, c});
+  y.resize({n, c});
   const float inv = 1.0f / static_cast<float>(h * w);
   for (int ni = 0; ni < n; ++ni)
     for (int ci = 0; ci < c; ++ci) {
@@ -252,12 +298,17 @@ Tensor global_avg_pool_forward(const Tensor& x) {
         for (int wx = 0; wx < w; ++wx) acc += x.at4(ni, ci, hy, wx);
       y[static_cast<std::size_t>(ni) * c + ci] = acc * inv;
     }
+}
+
+Tensor global_avg_pool_forward(const Tensor& x) {
+  Tensor y;
+  global_avg_pool_forward(x, y);
   return y;
 }
 
-Tensor global_avg_pool_backward(const Tensor& x, const Tensor& dy) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  Tensor dx(x.shape());
+void global_avg_pool_backward(const std::vector<int>& x_shape, const Tensor& dy, Tensor& dx) {
+  dx.resize(x_shape);
+  const int n = dx.dim(0), c = dx.dim(1), h = dx.dim(2), w = dx.dim(3);
   const float inv = 1.0f / static_cast<float>(h * w);
   for (int ni = 0; ni < n; ++ni)
     for (int ci = 0; ci < c; ++ci) {
@@ -265,16 +316,21 @@ Tensor global_avg_pool_backward(const Tensor& x, const Tensor& dy) {
       for (int hy = 0; hy < h; ++hy)
         for (int wx = 0; wx < w; ++wx) dx.at4(ni, ci, hy, wx) = g;
     }
+}
+
+Tensor global_avg_pool_backward(const Tensor& x, const Tensor& dy) {
+  Tensor dx;
+  global_avg_pool_backward(x.shape(), dy, dx);
   return dx;
 }
 
-Tensor batchnorm_forward(const Tensor& x, const Tensor& gamma, const Tensor& beta, float eps,
-                         BatchNormCache& cache) {
+void batchnorm_forward(const Tensor& x, const Tensor& gamma, const Tensor& beta, float eps,
+                       BatchNormCache& cache, Tensor& y) {
   check_rank(x, 4, "batchnorm x");
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const float m = static_cast<float>(n * h * w);
-  Tensor y(x.shape());
-  cache.x_hat = Tensor(x.shape());
+  y.resize(x.shape());
+  cache.x_hat.resize(x.shape());
   cache.inv_std.assign(static_cast<std::size_t>(c), 0.0f);
   for (int ci = 0; ci < c; ++ci) {
     float mean = 0.0f;
@@ -302,6 +358,12 @@ Tensor batchnorm_forward(const Tensor& x, const Tensor& gamma, const Tensor& bet
           y.at4(ni, ci, hy, wx) = g * xh + b;
         }
   }
+}
+
+Tensor batchnorm_forward(const Tensor& x, const Tensor& gamma, const Tensor& beta, float eps,
+                         BatchNormCache& cache) {
+  Tensor y;
+  batchnorm_forward(x, gamma, beta, eps, cache, y);
   return y;
 }
 
@@ -309,9 +371,9 @@ void batchnorm_backward(const Tensor& dy, const BatchNormCache& cache, const Ten
                         Tensor& dx, Tensor& dgamma, Tensor& dbeta) {
   const int n = dy.dim(0), c = dy.dim(1), h = dy.dim(2), w = dy.dim(3);
   const float m = static_cast<float>(n * h * w);
-  dx = Tensor(dy.shape());
-  dgamma = Tensor::zeros({c});
-  dbeta = Tensor::zeros({c});
+  dx.resize(dy.shape());
+  dgamma.resize({c});
+  dbeta.resize({c});
   for (int ci = 0; ci < c; ++ci) {
     float sum_dy = 0.0f;
     float sum_dy_xhat = 0.0f;
@@ -341,7 +403,7 @@ float softmax_xent(const Tensor& logits, const std::vector<int>& labels, Tensor&
   const int n = logits.dim(0), k = logits.dim(1);
   if (labels.size() != static_cast<std::size_t>(n))
     throw std::invalid_argument("softmax_xent: labels size");
-  dlogits = Tensor(logits.shape());
+  dlogits.resize(logits.shape());
   float loss = 0.0f;
   for (int ni = 0; ni < n; ++ni) {
     const std::size_t base = static_cast<std::size_t>(ni) * k;

@@ -10,6 +10,8 @@
 // measured GFLOP/s.
 #pragma once
 
+#include <vector>
+
 #include "ref/tensor.hpp"
 #include "ref/threadpool.hpp"
 
@@ -27,25 +29,42 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b, ConvSpe
 void conv2d_backward(const Tensor& x, const Tensor& w, const Tensor& dy, ConvSpec spec,
                      Tensor& dx, Tensor& dw, Tensor& db, ThreadPool& pool);
 
+// Each kernel below writes into caller-owned outputs: they are resized to
+// the result's shape (Tensor::resize keeps storage that is big enough) and
+// fully overwritten, so a caller that keeps its outputs across steps
+// allocates nothing. The value-returning forms wrap them.
+
 /// y = x [N,F] * w [F,O] + b [O]
+void dense_forward(const Tensor& x, const Tensor& w, const Tensor& b, Tensor& y,
+                   ThreadPool& pool);
 Tensor dense_forward(const Tensor& x, const Tensor& w, const Tensor& b, ThreadPool& pool);
 void dense_backward(const Tensor& x, const Tensor& w, const Tensor& dy, Tensor& dx, Tensor& dw,
                     Tensor& db, ThreadPool& pool);
 
+void relu_forward(const Tensor& x, Tensor& y, ThreadPool& pool);
 Tensor relu_forward(const Tensor& x, ThreadPool& pool);
 /// dx = dy where x > 0.
+void relu_backward(const Tensor& x, const Tensor& dy, Tensor& dx, ThreadPool& pool);
 Tensor relu_backward(const Tensor& x, const Tensor& dy, ThreadPool& pool);
 
 /// Max pooling; `argmax` (same shape as y) is produced for the backward
 /// pass. Each entry is the winner's offset iy*W + ix inside its own (n, c)
 /// plane of x, so it stays exact in a float up to 2^24-element planes
-/// whatever the batch and channel count.
+/// whatever the batch and channel count. The first strict maximum of a
+/// window in (ky, kx) order wins; a NaN never wins.
+void maxpool_forward(const Tensor& x, int k, int stride, Tensor& y, Tensor& argmax,
+                     ThreadPool& pool);
 Tensor maxpool_forward(const Tensor& x, int k, int stride, Tensor& argmax, ThreadPool& pool);
+/// The backward needs only the input's shape.
+void maxpool_backward(const std::vector<int>& x_shape, const Tensor& dy, const Tensor& argmax,
+                      Tensor& dx, ThreadPool& pool);
 Tensor maxpool_backward(const Tensor& x, const Tensor& dy, const Tensor& argmax,
                         ThreadPool& pool);
 
 /// Global average pool: [N,C,H,W] -> [N,C].
+void global_avg_pool_forward(const Tensor& x, Tensor& y);
 Tensor global_avg_pool_forward(const Tensor& x);
+void global_avg_pool_backward(const std::vector<int>& x_shape, const Tensor& dy, Tensor& dx);
 Tensor global_avg_pool_backward(const Tensor& x, const Tensor& dy);
 
 /// Batch normalization over (N,H,W) per channel, training mode.
@@ -53,6 +72,8 @@ struct BatchNormCache {
   Tensor x_hat;  ///< normalized input
   std::vector<float> inv_std;
 };
+void batchnorm_forward(const Tensor& x, const Tensor& gamma, const Tensor& beta, float eps,
+                       BatchNormCache& cache, Tensor& y);
 Tensor batchnorm_forward(const Tensor& x, const Tensor& gamma, const Tensor& beta, float eps,
                          BatchNormCache& cache);
 void batchnorm_backward(const Tensor& dy, const BatchNormCache& cache, const Tensor& gamma,

@@ -1,6 +1,8 @@
 #include "ref/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "ref/conv_fast.hpp"
 
@@ -16,19 +18,18 @@ Conv2dLayer::Conv2dLayer(std::string name, int in_c, int out_c, int k, ConvSpec 
   dbias = Tensor::zeros(bias.shape());
 }
 
-Tensor Conv2dLayer::forward(const Tensor& x) {
-  input_ = x;
-  return conv2d_forward_gemm(x, weight, bias, spec_, pool_);
+const Tensor& Conv2dLayer::forward(const Tensor& x) {
+  input_ = &x;
+  conv2d_forward_gemm(x, weight, bias, spec_, y_, pool_);
+  return y_;
 }
 
-Tensor Conv2dLayer::backward(const Tensor& dy) {
-  Tensor dx;
-  conv2d_backward_gemm(input_, weight, dy, spec_, dx, dweight, dbias, pool_);
-  return dx;
+void Conv2dLayer::backward(const Tensor& dy, Tensor& dx) {
+  conv2d_backward_gemm(*input_, weight, dy, spec_, dx, dweight, dbias, pool_);
 }
 
 void Conv2dLayer::backward_params(const Tensor& dy) {
-  conv2d_backward_gemm_params(input_, weight, dy, spec_, dweight, dbias, pool_);
+  conv2d_backward_gemm_params(*input_, weight, dy, spec_, dweight, dbias, pool_);
 }
 
 std::vector<ParamRef> Conv2dLayer::params() {
@@ -44,44 +45,46 @@ DenseLayer::DenseLayer(std::string name, int in_f, int out_f, ThreadPool& pool, 
   dbias = Tensor::zeros(bias.shape());
 }
 
-Tensor DenseLayer::forward(const Tensor& x) {
-  input_ = x;
-  return dense_forward(x, weight, bias, pool_);
+const Tensor& DenseLayer::forward(const Tensor& x) {
+  input_ = &x;
+  dense_forward(x, weight, bias, y_, pool_);
+  return y_;
 }
 
-Tensor DenseLayer::backward(const Tensor& dy) {
-  Tensor dx;
-  dense_backward(input_, weight, dy, dx, dweight, dbias, pool_);
-  return dx;
+void DenseLayer::backward(const Tensor& dy, Tensor& dx) {
+  dense_backward(*input_, weight, dy, dx, dweight, dbias, pool_);
 }
 
 std::vector<ParamRef> DenseLayer::params() {
   return {{name_ + "/w", &weight, &dweight}, {name_ + "/b", &bias, &dbias}};
 }
 
-Tensor ReLULayer::forward(const Tensor& x) {
-  input_ = x;
-  return relu_forward(x, pool_);
+const Tensor& ReLULayer::forward(const Tensor& x) {
+  input_ = &x;
+  relu_forward(x, y_, pool_);
+  return y_;
 }
 
-Tensor ReLULayer::backward(const Tensor& dy) { return relu_backward(input_, dy, pool_); }
+void ReLULayer::backward(const Tensor& dy, Tensor& dx) { relu_backward(*input_, dy, dx, pool_); }
 
-Tensor MaxPoolLayer::forward(const Tensor& x) {
-  input_ = x;
-  return maxpool_forward(x, k_, stride_, argmax_, pool_);
+const Tensor& MaxPoolLayer::forward(const Tensor& x) {
+  input_shape_ = x.shape();
+  maxpool_forward(x, k_, stride_, y_, argmax_, pool_);
+  return y_;
 }
 
-Tensor MaxPoolLayer::backward(const Tensor& dy) {
-  return maxpool_backward(input_, dy, argmax_, pool_);
+void MaxPoolLayer::backward(const Tensor& dy, Tensor& dx) {
+  maxpool_backward(input_shape_, dy, argmax_, dx, pool_);
 }
 
-Tensor GlobalAvgPoolLayer::forward(const Tensor& x) {
-  input_ = x;
-  return global_avg_pool_forward(x);
+const Tensor& GlobalAvgPoolLayer::forward(const Tensor& x) {
+  input_shape_ = x.shape();
+  global_avg_pool_forward(x, y_);
+  return y_;
 }
 
-Tensor GlobalAvgPoolLayer::backward(const Tensor& dy) {
-  return global_avg_pool_backward(input_, dy);
+void GlobalAvgPoolLayer::backward(const Tensor& dy, Tensor& dx) {
+  global_avg_pool_backward(input_shape_, dy, dx);
 }
 
 BatchNormLayer::BatchNormLayer(std::string name, int channels, float eps)
@@ -93,26 +96,31 @@ BatchNormLayer::BatchNormLayer(std::string name, int channels, float eps)
   dbeta = Tensor::zeros({channels});
 }
 
-Tensor BatchNormLayer::forward(const Tensor& x) {
-  return batchnorm_forward(x, gamma, beta, eps_, cache_);
+const Tensor& BatchNormLayer::forward(const Tensor& x) {
+  batchnorm_forward(x, gamma, beta, eps_, cache_, y_);
+  return y_;
 }
 
-Tensor BatchNormLayer::backward(const Tensor& dy) {
-  Tensor dx;
+void BatchNormLayer::backward(const Tensor& dy, Tensor& dx) {
   batchnorm_backward(dy, cache_, gamma, dx, dgamma, dbeta);
-  return dx;
 }
 
 std::vector<ParamRef> BatchNormLayer::params() {
   return {{name_ + "/gamma", &gamma, &dgamma}, {name_ + "/beta", &beta, &dbeta}};
 }
 
-Tensor FlattenLayer::forward(const Tensor& x) {
+const Tensor& FlattenLayer::forward(const Tensor& x) {
   input_shape_ = x.shape();
   const int n = x.dim(0);
-  return x.reshaped({n, static_cast<int>(x.size()) / n});
+  y_.resize({n, static_cast<int>(x.size()) / n});
+  std::copy(x.data(), x.data() + x.size(), y_.data());
+  return y_;
 }
 
-Tensor FlattenLayer::backward(const Tensor& dy) { return dy.reshaped(input_shape_); }
+void FlattenLayer::backward(const Tensor& dy, Tensor& dx) {
+  dx.resize(input_shape_);
+  if (dx.size() != dy.size()) throw std::invalid_argument("FlattenLayer: gradient size");
+  std::copy(dy.data(), dy.data() + dy.size(), dx.data());
+}
 
 }  // namespace dnnperf::ref

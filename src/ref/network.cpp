@@ -1,5 +1,6 @@
 #include "ref/network.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -27,17 +28,30 @@ void fill_normal(util::Rng& rng, float* dst, std::size_t count) {
 
 }  // namespace
 
-Tensor Network::forward(const Tensor& x) {
-  Tensor cur = x;
-  for (auto& layer : layers_) cur = layer->forward(cur);
-  return cur;
+const Tensor& Network::forward(const Tensor& x) {
+  input_ = x;  // copy-assignment reuses input_'s storage when it is big enough
+  const Tensor* cur = &input_;
+  largest_hidden_ = 0;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    if (i > 0) largest_hidden_ = std::max(largest_hidden_, cur->size());
+    cur = &layers_[i]->forward(*cur);
+  }
+  return *cur;
 }
 
 void Network::backward(const Tensor& dy) {
   if (layers_.empty()) return;
-  Tensor cur = dy;
-  for (std::size_t i = layers_.size() - 1; i > 0; --i) cur = layers_[i]->backward(cur);
-  layers_.front()->backward_params(cur);
+  // Both gradient buffers get the largest input gradient's size before the
+  // first layer writes, so neither grows (and reallocates) layer by layer.
+  if (largest_hidden_ > 0)
+    for (Tensor& g : grads_) g.resize({static_cast<int>(largest_hidden_)});
+  const Tensor* cur = &dy;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    Tensor& dx = grads_[i % 2];
+    layers_[i]->backward(*cur, dx);
+    cur = &dx;
+  }
+  layers_.front()->backward_params(*cur);
 }
 
 std::vector<ParamRef> Network::params() {
@@ -54,10 +68,8 @@ std::size_t Network::num_parameters() {
 }
 
 float Network::train_step(const Tensor& x, const std::vector<int>& labels) {
-  const Tensor logits = forward(x);
-  Tensor dlogits;
-  const float loss = softmax_xent(logits, labels, dlogits);
-  backward(dlogits);
+  const float loss = softmax_xent(forward(x), labels, dlogits_);
+  backward(dlogits_);
   return loss;
 }
 
@@ -82,9 +94,10 @@ Network make_tiny_cnn(int in_c, int size, int classes, ThreadPool& pool, util::R
   return net;
 }
 
-SyntheticBatch synthetic_batch(std::uint64_t seed, int step, int first, int n, int c, int size,
-                               int classes, ThreadPool& pool) {
-  SyntheticBatch batch{Tensor({n, c, size, size}), std::vector<int>(static_cast<std::size_t>(n))};
+void synthetic_batch(std::uint64_t seed, int step, int first, int n, int c, int size,
+                     int classes, ThreadPool& pool, SyntheticBatch& batch) {
+  batch.images.resize({n, c, size, size});
+  batch.labels.resize(static_cast<std::size_t>(n));
   const std::size_t per_image = static_cast<std::size_t>(c) * size * size;
   pool.parallel_for(static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
@@ -94,6 +107,12 @@ SyntheticBatch synthetic_batch(std::uint64_t seed, int step, int first, int n, i
       batch.labels[i] = static_cast<int>(rng.uniform_int(0, classes - 1));
     }
   });
+}
+
+SyntheticBatch synthetic_batch(std::uint64_t seed, int step, int first, int n, int c, int size,
+                               int classes, ThreadPool& pool) {
+  SyntheticBatch batch;
+  synthetic_batch(seed, step, first, n, c, size, classes, pool, batch);
   return batch;
 }
 

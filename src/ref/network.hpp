@@ -25,9 +25,13 @@ class Network {
     return ref;
   }
 
-  Tensor forward(const Tensor& x);
+  /// Copies x into the network's input buffer and runs every layer. The
+  /// result is the last layer's output buffer, valid until the next forward.
+  const Tensor& forward(const Tensor& x);
   /// Backpropagates dy through all layers, filling parameter gradients. The
-  /// first layer computes no input gradient (Layer::backward_params).
+  /// layers' input gradients alternate between two buffers the network
+  /// owns, so dy must not be one of them. The first layer computes no input
+  /// gradient (Layer::backward_params).
   void backward(const Tensor& dy);
 
   std::vector<ParamRef> params();
@@ -40,6 +44,13 @@ class Network {
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
+  // Every buffer below is resized in place, so a step whose shapes match
+  // the previous one allocates nothing. The first layer keeps a pointer to
+  // input_, so a network must not be moved between forward and backward.
+  Tensor input_;
+  Tensor grads_[2];
+  Tensor dlogits_;
+  std::size_t largest_hidden_ = 0;  ///< elements of the largest layer input but the first
 };
 
 /// Plain SGD: p -= lr * g for every parameter.
@@ -72,7 +83,10 @@ struct SyntheticBatch {
 /// step s draws its pixels and then its label from its own generator, seeded
 /// from (seed, s, i), so a rank builds its shard without generating the rest
 /// of the batch, and the bits do not depend on the rank count or the pool
-/// size. The samples are synthesized in parallel on `pool`.
+/// size. The samples are synthesized in parallel on `pool` into `out`,
+/// whose buffers are reused when they are big enough.
+void synthetic_batch(std::uint64_t seed, int step, int first, int n, int c, int size,
+                     int classes, ThreadPool& pool, SyntheticBatch& out);
 SyntheticBatch synthetic_batch(std::uint64_t seed, int step, int first, int n, int c, int size,
                                int classes, ThreadPool& pool);
 

@@ -115,8 +115,12 @@ RealTrainResult run_real_training(const RealTrainConfig& cfg) {
 
     ref::SgdOptimizer sgd(cfg.learning_rate);
     std::vector<float> losses;
+    losses.reserve(static_cast<std::size_t>(cfg.steps));
     PhaseTimes phases;
     const TrainMetrics& tm = train_metrics();
+    // Kept across steps so their buffers are reused.
+    ref::SyntheticBatch shard;
+    ref::Tensor dlogits;
     const auto loop_start = std::chrono::steady_clock::now();
 
     for (int step = 0; step < cfg.steps; ++step) {
@@ -124,21 +128,18 @@ RealTrainResult run_real_training(const RealTrainConfig& cfg) {
       if (step_phase.span.active())
         step_phase.span.set_args(std::move(util::trace::Args().add("step", step)).str());
       // This rank's shard of the step's global batch, and nothing else.
-      ref::SyntheticBatch shard;
       {
         Phase phase("input", phases.input, tm.input);
-        shard = ref::synthetic_batch(cfg.seed + 1, step, comm.rank() * cfg.batch_per_rank,
-                                     cfg.batch_per_rank, cfg.channels, cfg.image_size,
-                                     cfg.classes, pool);
+        ref::synthetic_batch(cfg.seed + 1, step, comm.rank() * cfg.batch_per_rank,
+                             cfg.batch_per_rank, cfg.channels, cfg.image_size, cfg.classes, pool,
+                             shard);
       }
 
       // The train_step of ref::Network, phase by phase so each can be timed.
       float loss;
-      ref::Tensor dlogits;
       {
         Phase phase("forward", phases.forward, tm.forward);
-        const ref::Tensor logits = net.forward(shard.images);
-        loss = ref::softmax_xent(logits, shard.labels, dlogits);
+        loss = ref::softmax_xent(net.forward(shard.images), shard.labels, dlogits);
       }
       {
         Phase phase("backward", phases.backward, tm.backward);

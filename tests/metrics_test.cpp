@@ -561,8 +561,13 @@ TEST(MetricsTraining, FirstLayerSkipsOnlyItsInputGradientGemms) {
   TinyCnn full = tiny_cnn(pool);
   (void)ref::softmax_xent(full.net.forward(batch.images), batch.labels, dlogits);
   const std::uint64_t full_start = gemm_calls();
-  ref::Tensor cur = dlogits;
-  for (auto it = full.layers.rbegin(); it != full.layers.rend(); ++it) cur = (*it)->backward(cur);
+  ref::Tensor grads[2];
+  const ref::Tensor* cur = &dlogits;
+  int next = 0;
+  for (auto it = full.layers.rbegin(); it != full.layers.rend(); ++it, next ^= 1) {
+    (*it)->backward(*cur, grads[next]);
+    cur = &grads[next];
+  }
   const std::uint64_t full_calls = gemm_calls() - full_start;
 
   EXPECT_EQ(full_calls - skip_calls, static_cast<std::uint64_t>(kBatch));

@@ -3,17 +3,21 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "ref/kernels.hpp"
 #include "ref/network.hpp"
 #include "ref/tensor.hpp"
 #include "ref/threadpool.hpp"
+#include "util/metrics.hpp"
 
 namespace dnnperf::ref {
 namespace {
@@ -46,6 +50,127 @@ TEST(Tensor, MaxAbsDiff) {
   EXPECT_FLOAT_EQ(max_abs_diff(a, b), 2.5f);
   Tensor c({5});
   EXPECT_THROW(max_abs_diff(a, c), std::invalid_argument);
+}
+
+TEST(Tensor, ResizeKeepsStorageThatIsBigEnough) {
+  Tensor t({4, 8, 32, 32});
+  const float* storage = t.data();
+  t.resize({4, 8, 16, 16});
+  EXPECT_EQ(t.data(), storage);
+  EXPECT_EQ(t.shape(), (std::vector<int>{4, 8, 16, 16}));
+  EXPECT_EQ(t.size(), 4u * 8 * 16 * 16);
+  t.resize(std::vector<int>{4, 8, 32, 32});
+  EXPECT_EQ(t.data(), storage);
+  t.resize({4, 8, 32, 33});
+  EXPECT_EQ(t.size(), 4u * 8 * 32 * 33);
+  EXPECT_THROW(t.resize({0, 1}), std::invalid_argument);
+  EXPECT_THROW(t.resize({1, 1, 1, 1, 1}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// TensorCache: the process-wide storage cache behind Tensor
+// ---------------------------------------------------------------------------
+
+/// Bytes handed out or cached must never exceed the high-water mark of
+/// bytes handed out.
+void expect_within_peak(const char* when) {
+  const auto s = tensor_cache::stats();
+  EXPECT_LE(s.live_bytes + s.cached_bytes, s.peak_live_bytes) << when;
+}
+
+TEST(TensorCache, FreedBufferComesBackForTheSameSize) {
+  constexpr std::size_t kBytes = std::size_t{1} << 20;
+  void* p = tensor_cache::take(kBytes);
+  static_cast<float*>(p)[0] = 1.0f;
+  tensor_cache::give(p, kBytes);
+  void* q = tensor_cache::take(kBytes);
+  EXPECT_EQ(q, p);
+  tensor_cache::give(q, kBytes);
+}
+
+TEST(TensorCache, SmallBuffersBypassTheCache) {
+  const auto before = tensor_cache::stats();
+  void* p = tensor_cache::take(tensor_cache::kMinBytes - 4);
+  EXPECT_EQ(tensor_cache::stats().live_bytes, before.live_bytes);
+  tensor_cache::give(p, tensor_cache::kMinBytes - 4);
+  EXPECT_EQ(tensor_cache::stats().cached_bytes, before.cached_bytes);
+}
+
+TEST(TensorCache, FreshAllocationEvictsOtherSizesFirst) {
+  // A buffer bigger than any earlier peak evicts everything cached and,
+  // once freed, fills the cache up to the new peak. A fresh buffer of
+  // another size must then evict it; once the cache is below the peak,
+  // another fresh size evicts nothing.
+  const std::size_t big = tensor_cache::stats().peak_live_bytes + (std::size_t{1} << 20);
+  void* a = tensor_cache::take(big);
+  EXPECT_EQ(tensor_cache::stats().cached_bytes, 0u);
+  tensor_cache::give(a, big);
+  EXPECT_EQ(tensor_cache::stats().cached_bytes, big);
+  constexpr std::size_t kB = tensor_cache::kMinBytes + 8, kC = 2 * tensor_cache::kMinBytes + 8;
+  void* b = tensor_cache::take(kB);
+  EXPECT_EQ(tensor_cache::stats().cached_bytes, 0u) << "the big buffer must go first";
+  tensor_cache::give(b, kB);
+  EXPECT_EQ(tensor_cache::stats().cached_bytes, kB);
+  void* c = tensor_cache::take(kC);
+  EXPECT_EQ(tensor_cache::stats().cached_bytes, kB) << "evicted more than the bound requires";
+  tensor_cache::give(c, kC);
+  expect_within_peak("after the sequence");
+}
+
+TEST(TensorCache, LivePlusCachedNeverExceedsThePeak) {
+  // A seeded sweep of takes and gives over mixed sizes, some repeated and
+  // some new, with the bound checked after every operation.
+  const std::size_t sizes[] = {tensor_cache::kMinBytes, 96 * 1024, 256 * 1024 + 4,
+                               std::size_t{1} << 20, (std::size_t{2} << 20) + 8};
+  util::Rng rng(17);
+  std::vector<std::pair<void*, std::size_t>> held;
+  const std::size_t live_before = tensor_cache::stats().live_bytes;
+  for (int op = 0; op < 400; ++op) {
+    if (held.empty() || rng.uniform_int(0, 2) != 0) {
+      const std::size_t bytes = sizes[static_cast<std::size_t>(rng.uniform_int(0, 4))];
+      held.emplace_back(tensor_cache::take(bytes), bytes);
+    } else {
+      const auto last = static_cast<std::int64_t>(held.size()) - 1;
+      const auto i = static_cast<std::size_t>(rng.uniform_int(0, last));
+      tensor_cache::give(held[i].first, held[i].second);
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    expect_within_peak("after a take or give");
+    if (held.size() > 12) {
+      for (const auto& [p, bytes] : held) tensor_cache::give(p, bytes);
+      held.clear();
+      expect_within_peak("after giving everything back");
+    }
+  }
+  for (const auto& [p, bytes] : held) tensor_cache::give(p, bytes);
+  EXPECT_EQ(tensor_cache::stats().live_bytes, live_before);
+  expect_within_peak("at the end");
+}
+
+TEST(TensorCache, ConcurrentTakeAndGive) {
+  // Four threads take, write, check and give buffers of shared sizes, so
+  // buffers move between threads through the cache.
+  const std::size_t sizes[] = {tensor_cache::kMinBytes, 200 * 1024, std::size_t{1} << 20};
+  const std::size_t live_before = tensor_cache::stats().live_bytes;
+  std::atomic<int> corrupted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 300; ++i) {
+        const std::size_t bytes = sizes[static_cast<std::size_t>(t + i) % 3];
+        auto* p = static_cast<float*>(tensor_cache::take(bytes));
+        const std::size_t last = bytes / sizeof(float) - 1;
+        const float mark = static_cast<float>(t * 1000 + i);
+        p[0] = p[last] = mark;
+        std::this_thread::yield();  // a buffer handed out twice shows here
+        if (p[0] != mark || p[last] != mark) ++corrupted;
+        tensor_cache::give(p, bytes);
+      }
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(corrupted.load(), 0);
+  EXPECT_EQ(tensor_cache::stats().live_bytes, live_before);
+  expect_within_peak("after the threads joined");
 }
 
 // ---------------------------------------------------------------------------
@@ -279,6 +404,50 @@ TEST(Kernels, MaxPoolArgmaxIsAnOffsetInsideThePlane) {
   }
 }
 
+TEST(Kernels, MaxPoolMatchesBranchingScanBitForBit) {
+  // The blend-based kernel against the branching (ky, kx) scan it replaced,
+  // on data full of ties, infinities and NaNs: `v > best` keeps the first
+  // winner, never lets a NaN win, and leaves an all -inf (or NaN) window at
+  // offset 0 with -inf.
+  ThreadPool pool(2);
+  util::Rng rng(21);
+  const int n = 2, c = 3, h = 9, w = 8;
+  Tensor x({n, c, h, w});
+  const float specials[] = {0.0f, -0.0f, 1.0f, -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = rng.uniform_int(0, 2) == 0 ? static_cast<float>(rng.normal(0.0, 1.0))
+                                      : specials[static_cast<std::size_t>(rng.uniform_int(0, 5))];
+  for (int ci = 0; ci < c; ++ci)  // one plane of nothing but -inf
+    for (int iy = 0; iy < h; ++iy)
+      for (int ix = 0; ix < w; ++ix) x.at4(1, ci, iy, ix) = -std::numeric_limits<float>::infinity();
+  for (const auto& [k, stride] : {std::pair{2, 2}, std::pair{3, 1}, std::pair{3, 2}}) {
+    SCOPED_TRACE("k=" + std::to_string(k) + " stride=" + std::to_string(stride));
+    Tensor y, argmax;
+    maxpool_forward(x, k, stride, y, argmax, pool);
+    for (int ni = 0; ni < n; ++ni)
+      for (int ci = 0; ci < c; ++ci)
+        for (int oy = 0; oy < y.dim(2); ++oy)
+          for (int ox = 0; ox < y.dim(3); ++ox) {
+            float best = -std::numeric_limits<float>::infinity();
+            int best_idx = 0;
+            for (int ky = 0; ky < k; ++ky)
+              for (int kx = 0; kx < k; ++kx) {
+                const int iy = oy * stride + ky, ix = ox * stride + kx;
+                const float v = x.at4(ni, ci, iy, ix);
+                if (v > best) {
+                  best = v;
+                  best_idx = iy * w + ix;
+                }
+              }
+            const float got = y.at4(ni, ci, oy, ox);
+            EXPECT_EQ(std::memcmp(&got, &best, sizeof(float)), 0) << oy << "," << ox;
+            EXPECT_EQ(argmax.at4(ni, ci, oy, ox), static_cast<float>(best_idx));
+          }
+  }
+}
+
 TEST(GradCheck, GlobalAvgPool) {
   util::Rng rng(7);
   Tensor x = Tensor::randn({2, 3, 4, 4}, rng);
@@ -424,6 +593,44 @@ TEST(Network, SyntheticShardsConcatenateToGlobalBatch) {
     EXPECT_GE(label, 0);
     EXPECT_LT(label, kClasses);
   }
+}
+
+/// ref_tensor_allocations_total so far (metrics must be enabled).
+std::uint64_t tensor_allocations() {
+  const auto snap = util::metrics::snapshot();
+  const auto* m = snap.find("ref_tensor_allocations_total");
+  return m == nullptr ? 0 : m->count;
+}
+
+TEST(Network, SteadyStateStepAllocatesNothing) {
+  // Layer outputs, the two gradient buffers, the input copy, the batch and
+  // the conv backward's per-image partials are all reused: once step 0 has
+  // sized them, a step allocates no Tensor storage at all.
+#if !DNNPERF_METRICS_ENABLED
+  GTEST_SKIP() << "metrics recording compiled out";
+#endif
+  util::metrics::reset();
+  util::metrics::set_enabled(true);
+  for (const bool batch_norm : {true, false}) {
+    SCOPED_TRACE(batch_norm ? "batch norm" : "no batch norm");
+    ThreadPool pool(2);
+    util::Rng rng(23);
+    Network net = make_tiny_cnn(3, 16, 4, pool, rng, batch_norm);
+    const auto params = net.params();
+    SgdOptimizer sgd(0.05f);
+    SyntheticBatch batch;
+    std::vector<std::uint64_t> after_step;
+    for (int step = 0; step < 4; ++step) {
+      synthetic_batch(7, step, 0, 16, 3, 16, 4, pool, batch);
+      EXPECT_TRUE(std::isfinite(net.train_step(batch.images, batch.labels)));
+      sgd.step(params);
+      after_step.push_back(tensor_allocations());
+    }
+    EXPECT_GT(after_step[0], 0u);
+    EXPECT_EQ(after_step[3], after_step[0]) << "steps 1..3 allocated tensor storage";
+  }
+  util::metrics::set_enabled(false);
+  util::metrics::reset();
 }
 
 TEST(Network, ParamCountsAndNames) {

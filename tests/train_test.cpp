@@ -9,6 +9,7 @@
 #include "hw/platforms.hpp"
 #include "train/real_trainer.hpp"
 #include "train/trainer.hpp"
+#include "util/metrics.hpp"
 
 namespace dnnperf::train {
 namespace {
@@ -347,6 +348,34 @@ TEST(RealTrainer, GoldenLossesAndParametersAreBitExact) {
     EXPECT_EQ(r.final_params.size(), 1460u);
     EXPECT_EQ(param_bits_hash(r.final_params), g.params_hash);
   }
+}
+
+TEST(RealTrainer, StepsAfterTheFirstAllocateNoTensors) {
+  // The trainer keeps the shard and the logit gradient across steps and the
+  // network reuses its buffers, so a 4-step run allocates exactly as much
+  // Tensor storage as a 1-step run.
+#if !DNNPERF_METRICS_ENABLED
+  GTEST_SKIP() << "metrics recording compiled out";
+#endif
+  RealTrainConfig cfg;
+  cfg.ranks = 2;
+  cfg.batch_per_rank = 4;
+  cfg.image_size = 8;
+  const auto allocations = [&](int steps) {
+    util::metrics::reset();
+    util::metrics::set_enabled(true);
+    cfg.steps = steps;
+    (void)run_real_training(cfg);
+    const auto snap = util::metrics::snapshot();
+    const auto* m = snap.find("ref_tensor_allocations_total");
+    const std::uint64_t count = m == nullptr ? 0 : m->count;
+    util::metrics::set_enabled(false);
+    util::metrics::reset();
+    return count;
+  };
+  const std::uint64_t one_step = allocations(1);
+  EXPECT_GT(one_step, 0u);
+  EXPECT_EQ(allocations(4), one_step);
 }
 
 TEST(RealTrainer, RejectsBadConfig) {
